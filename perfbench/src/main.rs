@@ -1,7 +1,7 @@
 //! `perfbench` — the repository benchmark for the `ltm-serve` server.
 //!
 //! ```text
-//! perfbench --workload read_storm|ingest_refit|full_reconcile
+//! perfbench --workload read_storm|full_reconcile
 //!           --seed N --seconds S --trace 0|1 [--out DIR]
 //! ```
 //!
@@ -18,7 +18,6 @@ mod net;
 mod prom;
 mod report;
 mod stats;
-mod timer;
 mod trace;
 mod workloads;
 
@@ -43,7 +42,7 @@ pub struct Args {
 
 fn usage(msg: &str) -> ExitCode {
     eprintln!(
-        "perfbench: {msg}\nusage: perfbench --workload read_storm|ingest_refit|full_reconcile \
+        "perfbench: {msg}\nusage: perfbench --workload read_storm|full_reconcile \
          --seed N --seconds S --trace 0|1 [--out DIR]"
     );
     ExitCode::from(2)

@@ -9,8 +9,6 @@ use std::net::{SocketAddr, TcpStream};
 use std::os::fd::AsRawFd;
 use std::time::{Duration, Instant};
 
-use crate::timer::Timer;
-
 /// Operation types, each with its own accounting.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Op {
@@ -158,9 +156,6 @@ impl InFlight {
 /// closes before counting them as failed.
 const DRAIN: Duration = Duration::from_secs(60);
 
-/// Epoll token of the loop's timer (connection tokens are slot indices).
-const TIMER: u64 = u64::MAX;
-
 /// Runs `jobs` (sorted by `due`), sending each when it is due — or as
 /// soon as a connection of its lane frees up after that — and reports
 /// every finished request to `on_done`. Lane `l` owns `lanes[l]`
@@ -201,13 +196,6 @@ fn drive(
         )?;
         Ok(s)
     };
-    let mut timer = Timer::new()?;
-    epoll::ctl(
-        epfd,
-        epoll::ControlOptions::EpollCtlAdd,
-        timer.fd(),
-        epoll::Event::new(epoll::events::EPOLLIN, TIMER),
-    )?;
     let mut slots: Vec<Slot> = lanes
         .iter()
         .enumerate()
@@ -224,7 +212,7 @@ fn drive(
         .collect::<io::Result<_>>()?;
     let mut jobs = jobs.into_iter().peekable();
     let mut waiting: Vec<VecDeque<(Job, Instant)>> = vec![VecDeque::new(); lanes.len()];
-    let mut events = vec![epoll::Event::new(0, 0); slots.len() + 1];
+    let mut events = vec![epoll::Event::new(0, 0); slots.len()];
     let mut chunk = vec![0u8; 64 * 1024];
     loop {
         let now = Instant::now();
@@ -281,17 +269,16 @@ fn drive(
             }
             return Ok(());
         }
-        // The timer wakes the loop when the next job is due; the epoll
-        // timeout only bounds how long the drain checks can wait.
-        if let Some(j) = jobs.peek() {
-            timer.arm((start + j.due).saturating_duration_since(Instant::now()))?;
-        }
-        let ready = epoll::wait(epfd, 50, &mut events)?;
+        // Wake when the next job is due, rounded up to epoll's whole
+        // milliseconds (the latencies run from `noticed`, so the rounding
+        // shows only in `Done::late_ms`), and at least every 50 ms for
+        // the drain checks.
+        let timeout = jobs.peek().map_or(50, |j| {
+            let wait = (start + j.due).saturating_duration_since(Instant::now());
+            wait.as_micros().div_ceil(1_000).min(50) as i32
+        });
+        let ready = epoll::wait(epfd, timeout, &mut events)?;
         for ev in &events[..ready] {
-            if ev.data() == TIMER {
-                timer.clear();
-                continue;
-            }
             let i = ev.data() as usize;
             let slot = &mut slots[i];
             let Some(stream) = slot.stream.as_mut() else {

@@ -30,22 +30,24 @@ pub fn percentile(sorted: &[f64], q: f64) -> Result<f64, String> {
     Ok(sorted[rank - 1])
 }
 
-/// Samples per slice for [`sliced_percentile`].
-pub const SLICE: usize = 1_000;
-
-/// Percentile `q` of `samples` (in the order they were taken) as the
-/// median over `max(1, n / SLICE)` consecutive, near-equal slices of
-/// each slice's nearest-rank percentile. Every slice holds at least
-/// [`SLICE`] samples (or all of them), so a p99 still has 10 samples
-/// beyond it per slice; one stall then moves one slice, not the result.
-pub fn sliced_percentile(samples: &[f64], q: f64) -> Result<f64, String> {
-    let k = (samples.len() / SLICE).max(1);
-    let mut per_slice = Vec::with_capacity(k);
-    for i in 0..k {
-        let slice = &samples[i * samples.len() / k..(i + 1) * samples.len() / k];
-        per_slice.push(percentile(&sorted(slice), q)?);
+/// The median, over groups of `samples`, of each group's nearest-rank
+/// percentile `q`. Group `i` runs from `starts[i]` to the next start (the
+/// last one to the end; no starts make one group). Each group must
+/// support `q` by itself, so one disturbed group moves one value of the
+/// median, not the result.
+pub fn median_of_groups(samples: &[f64], starts: &[usize], q: f64) -> Result<f64, String> {
+    let mut bounds: Vec<usize> = if starts.is_empty() {
+        vec![0]
+    } else {
+        starts.to_vec()
+    };
+    bounds.push(samples.len());
+    let mut per_group = Vec::with_capacity(bounds.len() - 1);
+    for (i, pair) in bounds.windows(2).enumerate() {
+        let group = sorted(&samples[pair[0]..pair[1]]);
+        per_group.push(percentile(&group, q).map_err(|e| format!("group {i}: {e}"))?);
     }
-    Ok(median(&per_slice))
+    Ok(median(&per_group))
 }
 
 /// The highest of a fixed ladder of percentiles that `n` samples
@@ -125,18 +127,20 @@ mod tests {
     }
 
     #[test]
-    fn sliced_percentile_takes_the_median_slice() {
-        // Three slices of 1 000; one stall lifts the tail of the second
-        // past its p99, and past the pooled p99 too.
+    fn median_of_groups_takes_each_groups_percentile() {
+        // Three groups of 1 000; a stall lifts the second one's tail past
+        // its p99, and past the pooled p99 too.
         let mut samples: Vec<f64> = (0..3_000).map(|i| (i % 1_000) as f64).collect();
         for s in &mut samples[1_960..2_000] {
             *s = 1e6;
         }
-        assert_eq!(sliced_percentile(&samples, 0.99), Ok(989.0));
+        let starts = [0, 1_000, 2_000];
+        assert_eq!(median_of_groups(&samples, &starts, 0.99), Ok(989.0));
         assert_eq!(percentile(&sorted(&samples), 0.99), Ok(1e6));
-        // Fewer samples than a slice: one slice, the plain percentile.
-        assert_eq!(sliced_percentile(&ramp(1_500), 0.99), Ok(1_485.0));
-        assert!(sliced_percentile(&ramp(999), 0.99).is_err());
+        // No starts: one group, the plain percentile.
+        assert_eq!(median_of_groups(&ramp(1_500), &[], 0.99), Ok(1_485.0));
+        // A group too small for the percentile refuses the whole.
+        assert!(median_of_groups(&ramp(2_500), &[0, 1_600], 0.99).is_err());
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! The three workloads and the helpers they share: booting a server at
+//! The workloads and the helpers they share: booting a server at
 //! the `ltm serve` defaults, bulk loads, forced full refits, the
 //! freshness watcher, and the correctness checks.
 
@@ -25,7 +25,6 @@ use crate::Args;
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Workload {
     ReadStorm,
-    IngestRefit,
     FullReconcile,
 }
 
@@ -33,7 +32,6 @@ impl Workload {
     pub fn name(self) -> &'static str {
         match self {
             Workload::ReadStorm => "read_storm",
-            Workload::IngestRefit => "ingest_refit",
             Workload::FullReconcile => "full_reconcile",
         }
     }
@@ -44,7 +42,6 @@ impl std::str::FromStr for Workload {
     fn from_str(s: &str) -> Result<Self, String> {
         match s {
             "read_storm" => Ok(Workload::ReadStorm),
-            "ingest_refit" => Ok(Workload::IngestRefit),
             "full_reconcile" => Ok(Workload::FullReconcile),
             other => Err(format!("unknown workload `{other}`")),
         }
@@ -53,13 +50,13 @@ impl std::str::FromStr for Workload {
 
 /// Corpus sizes, in Definition-3 claims.
 const READ_STORM_CLAIMS: usize = 100_000;
-const INGEST_REFIT_CLAIMS: usize = 470_000;
 const FULL_RECONCILE_CLAIMS: usize = 500_000;
+/// Set-ups `read_storm` runs per run.
+const READ_STORM_SETUPS: usize = 5;
+/// Servers `full_reconcile` boots from its prepared directory per run.
+const RECONCILE_BOOTS: usize = 4;
 /// Distinct generated queries each workload cycles through.
 const QUERY_POOL: usize = 4_096;
-/// How often `ingest_refit` compacts the WAL (`POST /admin/compact`):
-/// a fixed cadence gives every run the same number of compaction cycles.
-const COMPACT_EVERY: Duration = Duration::from_secs(2);
 /// Fact queries per `/query/batch` request.
 const BATCH_QUERIES: usize = 64;
 /// The generator's own lag limit (p99 of how late it noticed a request
@@ -79,9 +76,9 @@ struct Ctx<'a> {
     next_lane: u64,
     setup_s: Vec<f64>,
     query_ms: Vec<f64>,
-    /// Successful open-loop queries, and the seconds from the window's
-    /// start to the last query's answer (the storm's length for a closed
-    /// loop).
+    /// Successful queries, and the seconds from each window's start to
+    /// its last query's answer, summed over the windows (the storm's
+    /// length for a closed loop).
     queries_done: u64,
     query_window_s: f64,
     /// Round-trip seconds of each `/query/batch` (of [`BATCH_QUERIES`]
@@ -92,15 +89,30 @@ struct Ctx<'a> {
     fresh_s: Vec<f64>,
     refit_full_s: Vec<f64>,
     late_ms: Vec<f64>,
+    /// `/proc/stat` CPU times when the first server's samples began.
+    cpu_at_first_boot: Option<Vec<u64>>,
+    /// Where each server's samples start in `query_ms`, `ack_ms` and
+    /// `fresh_s`: a latency percentile is the median over servers of
+    /// that server's percentile.
+    server_starts: Vec<[usize; 3]>,
     /// Client-side `/query` round trips (from send) in the window; their
     /// mean gives the front end's self time.
     query_rtt_ms: Vec<f64>,
     forced_refits: u64,
-    forced_refits_finished: u64,
+    forced_refits_failed: u64,
     /// Acked batches the fold watermark never reached.
     unfolded: usize,
-    /// Closed-loop throughput, when the window was a closed loop.
-    closed_loop_qps: Option<f64>,
+    /// Closed-loop completions in each whole second of the storms.
+    storm_seconds: Vec<f64>,
+    /// Resident set in MiB when the peak was reset, just before the
+    /// first server booted.
+    rss_baseline_mb: f64,
+    /// `VmHWM` read as the first server's window closed, less the
+    /// baseline, in MiB: that server's peak without the benchmark's own
+    /// inputs.
+    peak_rss_mb: Option<f64>,
+    /// `answer_accuracy` of each server checked.
+    accuracy: Vec<f64>,
 }
 
 impl<'a> Ctx<'a> {
@@ -122,12 +134,26 @@ impl<'a> Ctx<'a> {
             fresh_s: Vec::new(),
             refit_full_s: Vec::new(),
             late_ms: Vec::new(),
+            cpu_at_first_boot: None,
+            server_starts: Vec::new(),
             query_rtt_ms: Vec::new(),
             forced_refits: 0,
-            forced_refits_finished: 0,
+            forced_refits_failed: 0,
             unfolded: 0,
-            closed_loop_qps: None,
+            storm_seconds: Vec::new(),
+            rss_baseline_mb: 0.0,
+            peak_rss_mb: None,
+            accuracy: Vec::new(),
         }
+    }
+
+    /// Marks where the next server's samples start.
+    fn new_server(&mut self) {
+        if self.cpu_at_first_boot.is_none() {
+            self.cpu_at_first_boot = Some(cpu_times());
+        }
+        self.server_starts
+            .push([self.query_ms.len(), self.ack_ms.len(), self.fresh_s.len()]);
     }
 
     /// A span buffer for a worker thread.
@@ -204,7 +230,6 @@ pub fn run(args: &Args, scratch: &Path, origin: Instant) -> Result<Report, Strin
     record_meta(&mut ctx);
     match args.workload {
         Workload::ReadStorm => read_storm(&mut ctx)?,
-        Workload::IngestRefit => ingest_refit(&mut ctx, scratch)?,
         Workload::FullReconcile => full_reconcile(&mut ctx, scratch)?,
     }
     finish(ctx)
@@ -217,240 +242,110 @@ pub fn run(args: &Args, scratch: &Path, origin: Instant) -> Result<Report, Strin
 /// Reads only: a books corpus of about 100k claims with one published
 /// full epoch, then a closed-loop `/query` storm over 64 keep-alive
 /// connections and a `/query/batch` sub-phase. No ingest, so no refits.
+///
+/// The set-up runs [`READ_STORM_SETUPS`] times, each on a fresh server
+/// that then serves an equal share of the window: one `setup_s` sample
+/// and one bulk load (the ingest and freshness samples) per server. How
+/// a server's threads land on the cores differs from one boot to the
+/// next and moves every latency with it, so one run samples several and
+/// reports the median over them.
 fn read_storm(ctx: &mut Ctx) -> Result<(), String> {
     let seed = ctx.args.seed;
+    let share = ctx.args.seconds / READ_STORM_SETUPS as f64;
     let t = Instant::now();
     let corpus = Corpus::books(books_for_claims(READ_STORM_CLAIMS), seed);
     ctx.phase("corpus", t);
     corpus_meta(ctx, &corpus);
     let queries = corpus::queries(&corpus, seed, QUERY_POOL);
+    ctx.report.meta("setups", READ_STORM_SETUPS.to_string());
     ctx.report
         .meta_str("automatic_refits", "off (min_pending unreachable)");
-    let mut server = None;
-    // Set up three times; the median is `setup_s`, and each set-up's
-    // bulk load feeds the ingest and freshness metrics. Automatic refits
-    // are off (the window has no ingest, so the daemon would be idle
-    // there anyway): the load runs alone and one forced full refit
-    // folds it.
-    for round in 0..3 {
+    let bodies: Vec<(String, String)> = queries
+        .iter()
+        .map(|q| (q.path().to_owned(), q.body(&corpus.sources)))
+        .collect();
+    let batch_bodies = batch_bodies(&queries, &corpus.sources);
+    reset_peak_rss(ctx);
+    for round in 0..READ_STORM_SETUPS {
+        // Automatic refits are off (the window has no ingest, so the
+        // daemon would be idle there anyway): the load runs alone and one
+        // forced full refit folds it.
+        ctx.new_server();
         let started = Instant::now();
         let setup = ctx.trace.begin("setup", None, 0);
-        let s = boot_quiet(None)?;
-        let fresh = Freshness::start(&s);
-        bulk_load(ctx, &s, &corpus.rows, 25, Some(&fresh))?;
-        force_full_refit(ctx, &s)?;
+        let server = boot_quiet(None)?;
+        let fresh = Freshness::start(&server);
+        bulk_load(ctx, &server, &corpus.rows, 25, Some(&fresh))?;
+        force_full_refit(ctx, &server)?;
         ctx.trace.end(setup);
         ctx.setup_s.push(started.elapsed().as_secs_f64());
         let fresh = fresh.finish(Duration::from_secs(60));
         ctx.unfolded += fresh.unfolded;
         ctx.fresh_s.extend(fresh.samples);
-        if round < 2 {
-            s.shutdown().map_err(|e| format!("shutdown: {e}"))?;
-        } else {
-            server = Some(s);
-        }
-    }
-    let server = server.expect("three set-ups ran");
-    wait_idle(&server)?;
-    let addr = server.addr();
-    let mut admin = client(addr);
-    let before = ctx.scrape(&mut admin)?;
-    let epoch_before = server.predictor().load().epoch;
+        wait_idle(&server)?;
 
-    let bodies: Vec<(String, String)> = queries
-        .iter()
-        .map(|q| (q.path().to_owned(), q.body(&corpus.sources)))
-        .collect();
-    let storm_s = ctx.args.seconds * 0.75;
-    closed_loop_storm(ctx, addr, &bodies, 2, 32, storm_s);
-    let batch_bodies = batch_bodies(&queries, &corpus.sources);
-    batch_phase(ctx, addr, &batch_bodies, ctx.args.seconds - storm_s);
-
-    let after = ctx.scrape(&mut admin)?;
-    let epoch_after = server.predictor().load().epoch;
-    ctx.report.check(
-        "no_refit_during_reads",
-        epoch_after == epoch_before,
-        format!("epoch {epoch_before} -> {epoch_after}"),
-    );
-    after_window(ctx, &server, &mut admin, &queries, &corpus, &corpus.rows)?;
-    if ctx.args.trace {
-        layers::from_metrics(
-            &mut ctx.report,
-            &before,
-            &after,
-            stats::mean(&ctx.query_rtt_ms),
+        let addr = server.addr();
+        let mut admin = client(addr);
+        let before = ctx.scrape(&mut admin)?;
+        let rtt_from = ctx.query_rtt_ms.len();
+        let epoch_before = server.predictor().load().epoch;
+        let storm_s = share * 0.75;
+        closed_loop_storm(ctx, addr, &bodies, 2, 32, storm_s);
+        batch_phase(ctx, addr, &batch_bodies, share - storm_s);
+        let after = ctx.scrape(&mut admin)?;
+        let epoch_after = server.predictor().load().epoch;
+        ctx.report.check(
+            "no_refit_during_reads",
+            epoch_after == epoch_before,
+            format!("epoch {epoch_before} -> {epoch_after}"),
         );
-        layers::query_path(ctx_layers(ctx), &server, &queries, &corpus.sources);
-        tracing_overhead(ctx, addr, &bodies);
-    }
-    server.shutdown().map_err(|e| format!("shutdown: {e}"))
-}
-
-/// Writes beside reads: a durable bulk load of about 90% of a 500k-claim
-/// corpus, then an open-loop writer streaming the rest (new sellers
-/// covering old books) beside an open-loop query stream, while the
-/// daemon refits on its own schedule and the WAL is compacted every
-/// [`COMPACT_EVERY`].
-fn ingest_refit(ctx: &mut Ctx, scratch: &Path) -> Result<(), String> {
-    const WRITER_PER_S: f64 = 100.0;
-    const ROWS_PER_BATCH: usize = 25;
-    const QUERIES_PER_S: f64 = 1_000.0;
-    let seed = ctx.args.seed;
-    let seconds = ctx.args.seconds;
-    let t = Instant::now();
-    let corpus = Corpus::books(books_for_claims(INGEST_REFIT_CLAIMS), seed);
-    ctx.phase("corpus", t);
-    corpus_meta(ctx, &corpus);
-    let queries = corpus::queries(&corpus, seed, QUERY_POOL);
-    let needed = (WRITER_PER_S * seconds) as usize * ROWS_PER_BATCH;
-    let (bulk, tail) = corpus.split_tail(needed.max(corpus.rows.len() / 10), seed);
-    ctx.report.meta("bulk_rows", bulk.len().to_string());
-    ctx.report.meta("streamed_rows", needed.to_string());
-
-    wal_meta(ctx, &WalConfig::new(scratch));
-    ctx.report
-        .meta_str("automatic_refits", "the server defaults");
-    // Set up three times, each on a fresh WAL directory; the medians of
-    // the set-ups give `setup_s`, `ingest_triples_per_s` and
-    // `refit_full_s`, and the last one serves the measured phase.
-    let mut server = None;
-    for round in 0..3 {
-        let started = Instant::now();
-        let setup = ctx.trace.begin("setup", None, 0);
-        let s = boot(Some(WalConfig::new(scratch.join(format!("wal{round}")))))?;
-        bulk_load(ctx, &s, &bulk, 1_000, None)?;
-        wait_idle(&s)?;
-        force_full_refit(ctx, &s)?;
-        // Fold the bulk load's sealed segments now, so the window's
-        // compactions are the scheduled ones.
-        ctx.call(
-            &mut client(s.addr()),
-            Op::Admin,
-            "POST",
-            "/admin/compact",
-            "",
-        )?;
-        ctx.trace.end(setup);
-        ctx.setup_s.push(started.elapsed().as_secs_f64());
-        if round < 2 {
-            let t = Instant::now();
-            s.shutdown().map_err(|e| format!("shutdown: {e}"))?;
-            ctx.phase("discarded set-up shutdown", t);
-            let _ = std::fs::remove_dir_all(scratch.join(format!("wal{round}")));
-        } else {
-            server = Some(s);
+        after_window(ctx, &server, &mut admin, &queries, &corpus, &corpus.rows)?;
+        // The per-layer metrics come from the last server's share.
+        if ctx.args.trace && round + 1 == READ_STORM_SETUPS {
+            let rtt = stats::mean(&ctx.query_rtt_ms[rtt_from..]);
+            layers::from_metrics(&mut ctx.report, &before, &after, rtt);
+            layers::query_path(ctx_layers(ctx), &server, &queries, &corpus.sources);
+            tracing_overhead(ctx, addr, &bodies);
         }
+        server.shutdown().map_err(|e| format!("shutdown: {e}"))?;
     }
-    let server = server.expect("three set-ups ran");
-    // Only the streamed batches count toward the ack latencies.
-    ctx.ack_ms.clear();
-
-    let addr = server.addr();
-    let mut admin = client(addr);
-    let before = ctx.scrape(&mut admin)?;
-    let fresh = Freshness::start(&server);
-    let start = Instant::now() + Duration::from_millis(50);
-    let until = start + Duration::from_secs_f64(seconds);
-    let writes: Vec<Job> = tail
-        .chunks(ROWS_PER_BATCH)
-        .take(needed / ROWS_PER_BATCH)
-        .enumerate()
-        .map(|(i, rows)| Job {
-            due: Duration::from_secs_f64(i as f64 / WRITER_PER_S),
-            op: Op::Ingest,
-            tag: i,
-            lane: WRITE_LANE,
-            method: "POST",
-            path: "/claims".into(),
-            body: corpus::claims_body(rows),
-        })
-        .collect();
-    let mut jobs = writes;
-    jobs.extend(query_jobs(
-        &queries,
-        &corpus.sources,
-        QUERIES_PER_S,
-        seconds,
-        100,
-    ));
-    jobs.sort_by_key(|j| j.due);
-    let compacting = |ctx: &mut Ctx, server: &Server| -> Result<(), String> {
-        let mut conn = client(server.addr());
-        let mut next = start;
-        while next < until {
-            std::thread::sleep(next.saturating_duration_since(Instant::now()));
-            ctx.call(&mut conn, Op::Admin, "POST", "/admin/compact", "")?;
-            next += COMPACT_EVERY;
-        }
-        Ok(())
-    };
-    let acked = open_loop(
-        ctx,
-        &server,
-        &fresh,
-        start,
-        until,
-        jobs,
-        &[32, 2],
-        compacting,
-    )?;
-    let fresh = fresh.finish(Duration::from_secs(120));
-    ctx.unfolded += fresh.unfolded;
-    ctx.fresh_s = fresh.samples;
-
-    let after = ctx.scrape(&mut admin)?;
-    let acked_rows: Vec<Row> = bulk
-        .iter()
-        .cloned()
-        .chain(
-            acked
-                .iter()
-                .flat_map(|&i| tail[i * ROWS_PER_BATCH..(i + 1) * ROWS_PER_BATCH].to_vec()),
-        )
-        .collect();
-    // Acks since the serving set-up booted: its bulk load plus the stream.
-    let acked_batches = bulk.len().div_ceil(1_000) + acked.len();
-    check_wal_appends(ctx, &server, acked_batches as u64);
-    after_window(ctx, &server, &mut admin, &queries, &corpus, &acked_rows)?;
-    if ctx.args.trace {
-        layers::from_metrics(
-            &mut ctx.report,
-            &before,
-            &after,
-            stats::mean(&ctx.query_rtt_ms),
-        );
-        layers::query_path(ctx_layers(ctx), &server, &queries, &corpus.sources);
-        let streamed: Vec<Row> = tail[..needed.min(tail.len())].to_vec();
-        layers::store_path(ctx_layers(ctx), &bulk, &streamed, ROWS_PER_BATCH);
-        layers::capture(ctx_layers(ctx), &server);
-        tracing_overhead(ctx, addr, &query_bodies(&queries, &corpus.sources));
-    }
-    server.shutdown().map_err(|e| format!("shutdown: {e}"))
+    Ok(())
 }
 
 /// Full reconciliation: boot on a prepared WAL + snapshot directory of
-/// about 550k claims, then force full refits back to back beside a
-/// low-rate open-loop probe of queries and small ingest batches.
+/// about 550k claims, then force a full refit beside a low-rate
+/// open-loop probe of queries and small ingest batches.
+///
+/// The directory is booted [`RECONCILE_BOOTS`] times, back to back.
+/// Each boot is one `setup_s` sample; once its daemon is idle, it serves
+/// an equal share of `--seconds`, which starts with one forced full
+/// refit, so every share sees the same phases. Each latency percentile
+/// is the median over the boots of that boot's percentile.
 fn full_reconcile(ctx: &mut Ctx, scratch: &Path) -> Result<(), String> {
     const PROBE_QUERIES_PER_S: f64 = 500.0;
-    const PROBE_INGESTS_PER_S: f64 = 100.0;
-    const PROBE_ROWS: usize = 5;
+    // Enough ingest batches that each boot's share supports a p99.
+    const PROBE_INGESTS_PER_S: f64 = 275.0;
+    const PROBE_ROWS: usize = 2;
     let seed = ctx.args.seed;
-    let seconds = ctx.args.seconds;
+    let share = ctx.args.seconds / RECONCILE_BOOTS as f64;
     let t = Instant::now();
-    let corpus = Corpus::books(books_for_claims(FULL_RECONCILE_CLAIMS), seed);
+    let mut corpus = Corpus::books(books_for_claims(FULL_RECONCILE_CLAIMS), seed);
     ctx.phase("corpus", t);
     corpus_meta(ctx, &corpus);
     let queries = corpus::queries(&corpus, seed, QUERY_POOL);
-    let probe_rows = (PROBE_INGESTS_PER_S * seconds) as usize * PROBE_ROWS;
+    // Every boot ingests the same probe rows on top of the same base.
+    let probe_rows = (PROBE_INGESTS_PER_S * share) as usize * PROBE_ROWS;
     let (base, probe) = corpus.split_tail(probe_rows, seed);
+    // `base` and `probe` hold every row; drop the corpus's own copy
+    // before the measured boots.
+    corpus.rows = Vec::new();
     // The last 5% of the base rows live only in the WAL tail, replayed
     // at boot past the snapshot.
     let (snap_rows, wal_rows) = base.split_at(base.len() - base.len() / 20);
     ctx.report
         .meta("snapshot_rows", snap_rows.len().to_string());
     ctx.report.meta("wal_tail_rows", wal_rows.len().to_string());
+    ctx.report.meta("boots", RECONCILE_BOOTS.to_string());
     ctx.report.meta_str(
         "automatic_refits",
         "off while preparing, the server defaults once booted",
@@ -461,35 +356,7 @@ fn full_reconcile(ctx: &mut Ctx, scratch: &Path) -> Result<(), String> {
     ctx.phase("prepare", t);
     wal_meta(ctx, &WalConfig::new(&prepared));
 
-    // Boot three copies of the prepared directory; the median boot is
-    // `setup_s`, and the last copy serves the measured phase.
-    let mut server = None;
-    for round in 0..3 {
-        let dir = scratch.join(format!("boot{round}"));
-        copy_dir(&prepared, &dir)?;
-        let started = Instant::now();
-        let setup = ctx.trace.begin("setup", None, 0);
-        let s = boot(Some(WalConfig::new(&dir)))?;
-        wait_serving(&s)?;
-        ctx.trace.end(setup);
-        ctx.setup_s.push(started.elapsed().as_secs_f64());
-        if round < 2 {
-            let t = Instant::now();
-            s.shutdown().map_err(|e| format!("shutdown: {e}"))?;
-            ctx.phase("discarded boot shutdown", t);
-            let _ = std::fs::remove_dir_all(&dir);
-        } else {
-            server = Some(s);
-        }
-    }
-    let server = server.expect("three boots ran");
-    let addr = server.addr();
-    let mut admin = client(addr);
-    let before = ctx.scrape(&mut admin)?;
-    let fresh = Freshness::start(&server);
-    let start = Instant::now() + Duration::from_millis(50);
-    let until = start + Duration::from_secs_f64(seconds);
-    let mut probes = query_jobs(&queries, &corpus.sources, PROBE_QUERIES_PER_S, seconds, 100);
+    let mut probes = query_jobs(&queries, &corpus.sources, PROBE_QUERIES_PER_S, share, 100);
     probes.extend(probe.chunks(PROBE_ROWS).enumerate().map(|(i, rows)| Job {
         due: Duration::from_secs_f64((i as f64 + 0.5) / PROBE_INGESTS_PER_S),
         op: Op::Ingest,
@@ -500,49 +367,82 @@ fn full_reconcile(ctx: &mut Ctx, scratch: &Path) -> Result<(), String> {
         body: corpus::claims_body(rows),
     }));
     probes.sort_by_key(|j| j.due);
-    let forcing = |ctx: &mut Ctx, server: &Server| -> Result<(), String> {
-        while Instant::now() < until {
-            force_full_refit(ctx, server)?;
-        }
-        Ok(())
-    };
-    let acked = open_loop(
-        ctx,
-        &server,
-        &fresh,
-        start,
-        until,
-        probes,
-        &[16, 2],
-        forcing,
-    )?;
-    let fresh = fresh.finish(Duration::from_secs(120));
-    ctx.unfolded += fresh.unfolded;
-    ctx.fresh_s = fresh.samples;
-    let after = ctx.scrape(&mut admin)?;
-
     let probe_batches: Vec<&[Row]> = probe.chunks(PROBE_ROWS).collect();
-    let acked_rows: Vec<Row> = base
-        .iter()
-        .cloned()
-        .chain(acked.iter().flat_map(|&i| probe_batches[i].to_vec()))
-        .collect();
-    check_wal_appends(ctx, &server, acked.len() as u64);
-    after_window(ctx, &server, &mut admin, &queries, &corpus, &acked_rows)?;
-    if ctx.args.trace {
-        layers::from_metrics(
-            &mut ctx.report,
-            &before,
-            &after,
-            stats::mean(&ctx.query_rtt_ms),
-        );
-        layers::query_path(ctx_layers(ctx), &server, &queries, &corpus.sources);
-        layers::store_path(ctx_layers(ctx), &base, &probe, PROBE_ROWS);
-        layers::capture(ctx_layers(ctx), &server);
-        layers::restore(ctx_layers(ctx), &prepared.join("snapshot.json"))?;
-        tracing_overhead(ctx, addr, &query_bodies(&queries, &corpus.sources));
+    reset_peak_rss(ctx);
+    for round in 0..RECONCILE_BOOTS {
+        let dir = scratch.join(format!("boot{round}"));
+        copy_dir(&prepared, &dir)?;
+        let started = Instant::now();
+        let setup = ctx.trace.begin("setup", None, 0);
+        let server = boot(Some(WalConfig::new(&dir)))?;
+        wait_serving(&server)?;
+        ctx.trace.end(setup);
+        ctx.setup_s.push(started.elapsed().as_secs_f64());
+        // Let the daemon fold the replayed tail first, so every share of
+        // the window starts the same way: with a forced full refit.
+        let t = Instant::now();
+        wait_idle(&server)?;
+        ctx.phase("replayed tail folded", t);
+        ctx.new_server();
+
+        let addr = server.addr();
+        let mut admin = client(addr);
+        let before = ctx.scrape(&mut admin)?;
+        let rtt_from = ctx.query_rtt_ms.len();
+        let fresh = Freshness::start(&server);
+        let start = Instant::now() + Duration::from_millis(50);
+        let until = start + Duration::from_secs_f64(share);
+        // One forced full refit per share, triggered as the probe starts.
+        let forcing = |ctx: &mut Ctx, server: &Server| -> Result<(), String> {
+            std::thread::sleep(start.saturating_duration_since(Instant::now()));
+            force_full_refit(ctx, server)
+        };
+        let acked = open_loop(
+            ctx,
+            &server,
+            &fresh,
+            start,
+            until,
+            probes.clone(),
+            &[16, 2],
+            forcing,
+        )?;
+        let t = Instant::now();
+        let fresh = fresh.finish(Duration::from_secs(120));
+        ctx.phase("probe rows folded", t);
+        ctx.unfolded += fresh.unfolded;
+        ctx.fresh_s.extend(fresh.samples);
+        let after = ctx.scrape(&mut admin)?;
+
+        let acked_rows = base
+            .iter()
+            .chain(acked.iter().flat_map(|&i| probe_batches[i]));
+        check_wal_appends(ctx, &server, acked.len() as u64);
+        let t = Instant::now();
+        after_window(ctx, &server, &mut admin, &queries, &corpus, acked_rows)?;
+        ctx.phase("checks", t);
+        // The per-layer metrics come from the last boot's share.
+        if ctx.args.trace && round + 1 == RECONCILE_BOOTS {
+            let rtt = stats::mean(&ctx.query_rtt_ms[rtt_from..]);
+            layers::from_metrics(&mut ctx.report, &before, &after, rtt);
+            if ctx.report.layers.get("wal.compactions") == Some(&0.0) {
+                ctx.report.absent.insert(
+                    "wal.compactions",
+                    "no WAL segment sealed in the window (default 8 MiB segments)".into(),
+                );
+            }
+            layers::query_path(ctx_layers(ctx), &server, &queries, &corpus.sources);
+            layers::store_path(ctx_layers(ctx), &base, &probe, PROBE_ROWS);
+            layers::capture(ctx_layers(ctx), &server);
+            layers::restore(ctx_layers(ctx), &prepared.join("snapshot.json"))?;
+            tracing_overhead(ctx, addr, &query_bodies(&queries, &corpus.sources));
+        }
+        let t = Instant::now();
+        server.shutdown().map_err(|e| format!("shutdown: {e}"))?;
+        ctx.phase("boot shutdown", t);
+        let _ = std::fs::remove_dir_all(&dir);
     }
-    server.shutdown().map_err(|e| format!("shutdown: {e}"))
+    Ok(())
 }
 
 /// Builds the directory `full_reconcile` boots from, through a server
@@ -640,8 +540,9 @@ fn closed_loop_storm(
             .map(|h| h.join().expect("storm thread"))
             .collect()
     });
-    ctx.query_window_s = started.elapsed().as_secs_f64();
-    let whole_seconds = ctx.query_window_s as usize;
+    let window_s = started.elapsed().as_secs_f64();
+    ctx.query_window_s += window_s;
+    let whole_seconds = window_s as usize;
     let mut per_second = vec![0u64; whole_seconds];
     for (lat, counts, spans) in results {
         for (total, c) in per_second.iter_mut().zip(counts) {
@@ -657,10 +558,8 @@ fn closed_loop_storm(
         ctx.query_ms.extend(lat);
         ctx.spans.extend(spans);
     }
-    // Throughput: the median whole second, so one disturbed second does
-    // not move it.
-    let per_second: Vec<f64> = per_second.iter().map(|&c| c as f64).collect();
-    ctx.closed_loop_qps = Some(stats::median(&per_second));
+    ctx.storm_seconds
+        .extend(per_second.iter().map(|&c| c as f64));
 }
 
 /// `/query/batch` bodies of [`BATCH_QUERIES`] consecutive queries.
@@ -815,7 +714,7 @@ fn open_loop(
             }
         }
     }
-    ctx.query_window_s = last_query.duration_since(start).as_secs_f64();
+    ctx.query_window_s += last_query.duration_since(start).as_secs_f64();
     acked.sort_unstable();
     Ok(acked)
 }
@@ -855,20 +754,20 @@ fn bulk_load(
     batch: usize,
     fresh: Option<&Freshness>,
 ) -> Result<(), String> {
-    let bodies: Vec<String> = rows.chunks(batch).map(corpus::claims_body).collect();
     let store = server.store();
     let mut conn = client(server.addr());
-    let mut acks = Vec::with_capacity(bodies.len());
-    for body in &bodies {
+    let mut acks = Vec::with_capacity(rows.len().div_ceil(batch));
+    for chunk in rows.chunks(batch) {
+        let body = corpus::claims_body(chunk);
         let sent = Instant::now();
-        ctx.call(&mut conn, Op::Ingest, "POST", "/claims", body)?;
+        ctx.call(&mut conn, Op::Ingest, "POST", "/claims", &body)?;
         let acked = Instant::now();
         acks.push(acked.duration_since(sent).as_secs_f64());
         if let Some(f) = fresh {
             f.push(acked, store.accepted_seq());
         }
     }
-    let rows_per_batch = rows.len() as f64 / bodies.len().max(1) as f64;
+    let rows_per_batch = rows.len() as f64 / acks.len().max(1) as f64;
     ctx.ingest_rows_per_s
         .push(rows_per_batch / stats::median(&acks).max(1e-9));
     ctx.ack_ms.extend(acks.iter().map(|s| s * 1e3));
@@ -876,17 +775,17 @@ fn bulk_load(
 }
 
 /// The default domain's daemon counters: `(refits started, full refits
-/// finished, epochs published + rejected)`.
+/// finished, refits failed)`.
 fn refit_counts(server: &Server) -> (u64, u64, u64) {
     let domain = server.domain("default").expect("default domain exists");
     let started = domain.daemon().map_or(0, |d| d.refits_started());
-    let full = server.refit_state().locked().counters().refits_full;
-    let p = server.predictor();
-    (started, full, p.epochs_published() + p.epochs_rejected())
+    let counters = server.refit_state().locked().counters();
+    (started, counters.refits_full, counters.refits_failed)
 }
 
-/// `POST /admin/refit?mode=full`, then waits until that refit finished;
-/// records trigger-to-publish seconds.
+/// `POST /admin/refit?mode=full`, then waits until that refit published,
+/// was rejected or failed; records trigger-to-finish seconds of the
+/// first two, and counts the third in `forced_refits_failed`.
 fn force_full_refit(ctx: &mut Ctx, server: &Server) -> Result<(), String> {
     let mut conn = client(server.addr());
     let (started_before, _, _) = refit_counts(server);
@@ -895,32 +794,36 @@ fn force_full_refit(ctx: &mut Ctx, server: &Server) -> Result<(), String> {
     ctx.call(&mut conn, Op::Refit, "POST", "/admin/refit?mode=full", "")?;
     ctx.forced_refits += 1;
     let deadline = t0 + Duration::from_secs(150);
-    // Our refit is the first one started after the trigger; every full
-    // refit that finished before it started is in `full_mid`.
-    let (full_mid, outcomes_mid) = loop {
-        let (started, full, outcomes) = refit_counts(server);
+    // Our refit is the first one started after the trigger, and the
+    // daemon runs one refit at a time: whatever finishes next is ours.
+    let (full_mid, failed_mid) = loop {
+        let (started, full, failed) = refit_counts(server);
         if started > started_before {
-            break (full, outcomes);
+            break (full, failed);
         }
         if Instant::now() > deadline {
             return Err("forced full refit never started".into());
         }
-        std::thread::sleep(Duration::from_micros(500));
+        std::thread::sleep(Duration::from_millis(2));
     };
     loop {
-        let (_, full, outcomes) = refit_counts(server);
+        let (_, full, failed) = refit_counts(server);
+        // A full refit counts in `refits_full` only once it published or
+        // was rejected.
         if full > full_mid {
             ctx.trace.end(open);
             ctx.refit_full_s.push(t0.elapsed().as_secs_f64());
-            if outcomes > outcomes_mid {
-                ctx.forced_refits_finished += 1;
-            }
+            return Ok(());
+        }
+        if failed > failed_mid {
+            ctx.trace.end(open);
+            ctx.forced_refits_failed += 1;
             return Ok(());
         }
         if Instant::now() > deadline {
             return Err("forced full refit never finished".into());
         }
-        std::thread::sleep(Duration::from_micros(500));
+        std::thread::sleep(Duration::from_millis(2));
     }
 }
 
@@ -1023,7 +926,7 @@ impl Freshness {
                             return samples;
                         }
                     }
-                    std::thread::sleep(Duration::from_millis(1));
+                    std::thread::sleep(Duration::from_millis(2));
                 }
             })
         };
@@ -1055,17 +958,27 @@ impl Freshness {
 
 /// The checks every workload runs after its window: batch answers equal
 /// single answers, served accuracy, and store counts.
-fn after_window(
+fn after_window<'r>(
     ctx: &mut Ctx,
     server: &Server,
     admin: &mut HttpClient,
     queries: &[Query],
     corpus: &Corpus,
-    acked_rows: &[Row],
+    acked_rows: impl IntoIterator<Item = &'r Row>,
 ) -> Result<(), String> {
-    let t = Instant::now();
+    // The first server's peak, read before the checks below allocate (a
+    // claim database of every acked row). Later servers start in a heap
+    // that earlier ones left resident (about 10 MiB per server on
+    // `read_storm`), so their peaks would read low.
+    if ctx.peak_rss_mb.is_none() {
+        let peak = proc_status_mb("VmHWM");
+        ctx.peak_rss_mb = Some(peak - ctx.rss_baseline_mb);
+        ctx.report.info.push(format!(
+            "peak RSS: VmHWM {peak:.1} MiB, {:.1} MiB above the baseline",
+            peak - ctx.rss_baseline_mb
+        ));
+    }
     wait_idle(server)?;
-    ctx.phase("wait idle", t);
     check_batch_equality(ctx, admin, queries, &corpus.sources)?;
     accuracy(ctx, server, admin, corpus)?;
     check_store_counts(ctx, server, acked_rows);
@@ -1076,10 +989,12 @@ fn after_window(
     );
     ctx.report.check(
         "forced_full_refits_finished",
-        ctx.forced_refits_finished == ctx.forced_refits,
+        ctx.forced_refits_failed == 0,
         format!(
-            "{} of {} forced full refits published or were rejected",
-            ctx.forced_refits_finished, ctx.forced_refits
+            "{} of {} forced full refits published or were rejected, {} failed",
+            ctx.forced_refits - ctx.forced_refits_failed,
+            ctx.forced_refits,
+            ctx.forced_refits_failed
         ),
     );
     Ok(())
@@ -1158,7 +1073,7 @@ fn accuracy(
         }
     }
     let accuracy = right as f64 / corpus.labels.len().max(1) as f64;
-    ctx.report.e2e.insert("answer_accuracy", accuracy);
+    ctx.accuracy.push(accuracy);
     ctx.report.check(
         "answer_accuracy_floor",
         accuracy >= ACCURACY_FLOOR,
@@ -1172,7 +1087,11 @@ fn accuracy(
 
 /// The store's claim and fact counts must equal those of a claim
 /// database built independently from the acked rows.
-fn check_store_counts(ctx: &mut Ctx, server: &Server, acked_rows: &[Row]) {
+fn check_store_counts<'r>(
+    ctx: &mut Ctx,
+    server: &Server,
+    acked_rows: impl IntoIterator<Item = &'r Row>,
+) {
     let mut builder = RawDatabaseBuilder::new();
     for r in acked_rows {
         builder.add(&r.entity, &r.attr, &r.source);
@@ -1334,25 +1253,36 @@ fn command_line(program: &str, args: &[&str]) -> String {
 /// Turns the samples into end-to-end metrics, applies the generator's
 /// validity limit, and writes the trace.
 fn finish(mut ctx: Ctx) -> Result<Report, String> {
+    cpu_meta(&mut ctx);
     let window_ms = ctx.query_window_s * 1e3;
     // A failed request misses every latency limit: it reads as the whole
-    // window. Each percentile is the median over slices of at least
-    // 1 000 samples (see `stats::sliced_percentile`).
-    let pick = |samples: &[f64], q: f64, what: &str| -> Result<f64, String> {
+    // window. A percentile is the median over the run's servers of each
+    // server's percentile.
+    let starts = &ctx.server_starts;
+    let pick = |samples: &[f64], series: usize, q: f64, what: &str| -> Result<f64, String> {
         let capped: Vec<f64> = samples
             .iter()
             .map(|&v| if v.is_finite() { v } else { window_ms })
             .collect();
-        stats::sliced_percentile(&capped, q).map_err(|e| format!("{what}: {e}"))
+        let from: Vec<usize> = starts.iter().map(|s| s[series]).collect();
+        stats::median_of_groups(&capped, &from, q).map_err(|e| format!("{what}: {e}"))
     };
     let e2e = &mut ctx.report.e2e;
     e2e.insert("setup_s", stats::median(&ctx.setup_s));
-    e2e.insert("query_p50_ms", pick(&ctx.query_ms, 0.5, "query_p50_ms")?);
-    e2e.insert("query_p99_ms", pick(&ctx.query_ms, 0.99, "query_p99_ms")?);
+    e2e.insert("query_p50_ms", pick(&ctx.query_ms, 0, 0.5, "query_p50_ms")?);
+    e2e.insert(
+        "query_p99_ms",
+        pick(&ctx.query_ms, 0, 0.99, "query_p99_ms")?,
+    );
+    // A closed loop's throughput is its median whole second, so one
+    // disturbed second does not move it; an open loop's is its rate.
     e2e.insert(
         "query_qps",
-        ctx.closed_loop_qps
-            .unwrap_or(ctx.queries_done as f64 / ctx.query_window_s),
+        if ctx.storm_seconds.is_empty() {
+            ctx.queries_done as f64 / ctx.query_window_s
+        } else {
+            stats::median(&ctx.storm_seconds)
+        },
     );
     // Facts per second at the median batch round trip: robust to the
     // few batches that wait behind a stall.
@@ -1366,31 +1296,39 @@ fn finish(mut ctx: Ctx) -> Result<Report, String> {
     );
     e2e.insert(
         "ingest_ack_p50_ms",
-        pick(&ctx.ack_ms, 0.5, "ingest_ack_p50_ms")?,
+        pick(&ctx.ack_ms, 1, 0.5, "ingest_ack_p50_ms")?,
     );
     e2e.insert(
         "ingest_ack_p99_ms",
-        pick(&ctx.ack_ms, 0.99, "ingest_ack_p99_ms")?,
+        pick(&ctx.ack_ms, 1, 0.99, "ingest_ack_p99_ms")?,
     );
     e2e.insert(
         "freshness_p50_s",
-        pick(&ctx.fresh_s, 0.5, "freshness_p50_s")?,
+        pick(&ctx.fresh_s, 2, 0.5, "freshness_p50_s")?,
     );
     e2e.insert(
         "freshness_p90_s",
-        pick(&ctx.fresh_s, 0.9, "freshness_p90_s")?,
+        pick(&ctx.fresh_s, 2, 0.9, "freshness_p90_s")?,
     );
     e2e.insert("refit_full_s", stats::median(&ctx.refit_full_s));
-    e2e.insert("peak_rss_mb", peak_rss_mb());
-    for (what, samples) in [
+    e2e.insert("peak_rss_mb", ctx.peak_rss_mb.unwrap_or(0.0));
+    e2e.insert("answer_accuracy", stats::median(&ctx.accuracy));
+    for (series, (what, samples)) in [
         ("query", &ctx.query_ms),
         ("ingest ack", &ctx.ack_ms),
         ("freshness", &ctx.fresh_s),
-    ] {
+    ]
+    .into_iter()
+    .enumerate()
+    {
+        let mut bounds: Vec<usize> = ctx.server_starts.iter().map(|s| s[series]).collect();
+        bounds.push(samples.len());
+        let fewest = bounds.windows(2).map(|b| b[1] - b[0]).min().unwrap_or(0);
         ctx.report.info.push(format!(
-            "samples {what}: {} (highest supported percentile {})",
+            "samples {what}: {} over {} servers, fewest {fewest} on one (highest percentile it supports {})",
             samples.len(),
-            stats::highest_supported(samples.len())
+            ctx.server_starts.len(),
+            stats::highest_supported(fewest)
         ));
     }
     ctx.report.info.push(format!(
@@ -1470,14 +1408,87 @@ fn write_trace(report: &mut Report, args: &Args, spans: &[Span]) -> Result<(), S
     Ok(())
 }
 
-/// The process's peak resident set (`VmHWM`), in MiB.
-fn peak_rss_mb() -> f64 {
+/// The machine's CPU times from the first line of `/proc/stat` (user,
+/// nice, system, idle, iowait, irq, softirq, steal, …); empty where the
+/// file is missing.
+fn cpu_times() -> Vec<u64> {
+    std::fs::read_to_string("/proc/stat")
+        .ok()
+        .and_then(|s| {
+            let line = s.lines().next()?.strip_prefix("cpu ")?.to_owned();
+            Some(
+                line.split_whitespace()
+                    .filter_map(|v| v.parse().ok())
+                    .collect(),
+            )
+        })
+        .unwrap_or_default()
+}
+
+/// Records how busy the machine was from the first boot on, and how
+/// much of its CPU time the host took for others (steal): on a shared
+/// host, steal moves every latency, and this says how much it had to.
+fn cpu_meta(ctx: &mut Ctx) {
+    let (Some(before), after) = (ctx.cpu_at_first_boot.as_ref(), cpu_times()) else {
+        return;
+    };
+    let delta: Vec<f64> = after
+        .iter()
+        .zip(before)
+        .map(|(a, b)| a.saturating_sub(*b) as f64)
+        .collect();
+    let total: f64 = delta.iter().sum();
+    let field = |i: usize| delta.get(i).copied().unwrap_or(0.0) / total.max(1.0);
+    ctx.report.meta(
+        "cpu",
+        format!(
+            "{{\"busy_frac\":{:.4},\"steal_frac\":{:.4}}}",
+            1.0 - field(3) - field(4) - field(7),
+            field(7)
+        ),
+    );
+}
+
+/// A memory field of `/proc/self/status` (`VmHWM`, `VmRSS`), in MiB.
+fn proc_status_mb(field: &str) -> f64 {
     std::fs::read_to_string("/proc/self/status")
         .ok()
         .and_then(|s| {
             s.lines()
-                .find_map(|l| l.strip_prefix("VmHWM:"))
+                .find_map(|l| l.strip_prefix(field)?.strip_prefix(':'))
                 .and_then(|v| v.trim().trim_end_matches("kB").trim().parse::<f64>().ok())
         })
         .map_or(0.0, |kb| kb / 1024.0)
+}
+
+/// Hands the heap's free pages back to the kernel, so memory that an
+/// earlier server freed no longer counts as resident.
+#[cfg(all(target_os = "linux", target_env = "gnu"))]
+fn trim_heap() {
+    extern "C" {
+        fn malloc_trim(pad: usize) -> i32;
+    }
+    // SAFETY: malloc_trim takes a plain integer and only releases free
+    // heap memory; no live allocation is touched.
+    unsafe {
+        malloc_trim(0);
+    }
+}
+
+#[cfg(not(all(target_os = "linux", target_env = "gnu")))]
+fn trim_heap() {}
+
+/// Called just before the run's first server boots: trims the heap and
+/// resets the process's peak resident set (`VmHWM`) to its current
+/// resident set, which becomes the baseline `peak_rss_mb` is measured
+/// from.
+fn reset_peak_rss(ctx: &mut Ctx) {
+    trim_heap();
+    let reset = std::fs::write("/proc/self/clear_refs", "5").is_ok();
+    ctx.rss_baseline_mb = proc_status_mb("VmRSS");
+    ctx.report.info.push(format!(
+        "peak RSS reset {}: {:.1} MiB resident before the first boot (the benchmark's own inputs)",
+        if reset { "done" } else { "unavailable" },
+        ctx.rss_baseline_mb
+    ));
 }
