@@ -27,7 +27,7 @@ pub const END_TO_END: [(&str, &str); 14] = [
 ];
 
 /// Per-layer metrics, reported by traced runs: `(name, unit)`.
-pub const PER_LAYER: [(&str, &str); 44] = [
+pub const PER_LAYER: [(&str, &str); 46] = [
     ("frontend.self_mean_ms", "ms"),
     ("event_loop.keepalive_reuse_ratio", "ratio"),
     ("server.query_handler_mean_ms", "ms"),
@@ -53,6 +53,8 @@ pub const PER_LAYER: [(&str, &str); 44] = [
     ("refit.incremental_count", "count"),
     ("refit.full_count", "count"),
     ("refit.rejected_ratio", "ratio"),
+    ("refit.beside_query_p99_ms", "ms"),
+    ("refit.beside_ack_p99_ms", "ms"),
     ("shadow.fit_s", "s"),
     ("shadow.fit_share_of_promote", "ratio"),
     ("core.fold_claims_per_s", "1/s"),

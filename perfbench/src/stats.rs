@@ -50,6 +50,28 @@ pub fn median_of_groups(samples: &[f64], starts: &[usize], q: f64) -> Result<f64
     Ok(median(&per_group))
 }
 
+/// Cuts a series of `len` samples into consecutive slices of at least
+/// `slice` samples each (as many as fit), never across a boundary in
+/// `starts`: samples before the first boundary form a part of their own,
+/// as does each stretch from one boundary to the next. A non-empty part
+/// shorter than `slice` is one slice; empty parts give none. Returns the
+/// slices' starts, for [`median_of_groups`].
+pub fn slice_starts(starts: &[usize], len: usize, slice: usize) -> Vec<usize> {
+    let mut bounds = vec![0];
+    bounds.extend(starts.iter().copied().filter(|&s| s <= len));
+    bounds.push(len);
+    let mut out = Vec::new();
+    for pair in bounds.windows(2) {
+        let n = pair[1].saturating_sub(pair[0]);
+        if n == 0 {
+            continue;
+        }
+        let k = (n / slice.max(1)).max(1);
+        out.extend((0..k).map(|i| pair[0] + i * n / k));
+    }
+    out
+}
+
 /// The highest of a fixed ladder of percentiles that `n` samples
 /// support, as a label such as `"p99.9"`.
 pub fn highest_supported(n: usize) -> &'static str {
@@ -141,6 +163,20 @@ mod tests {
         assert_eq!(median_of_groups(&ramp(1_500), &[], 0.99), Ok(1_485.0));
         // A group too small for the percentile refuses the whole.
         assert!(median_of_groups(&ramp(2_500), &[0, 1_600], 0.99).is_err());
+    }
+
+    #[test]
+    fn slices_fill_each_part_and_skip_empty_ones() {
+        // Samples before the first boundary are a part; parts of 2 500
+        // and 1 500 samples give two slices and one; the empty part none.
+        assert_eq!(
+            slice_starts(&[300, 2_800, 2_800], 4_300, 1_000),
+            vec![0, 300, 1_550, 2_800]
+        );
+        assert_eq!(slice_starts(&[0], 3_000, 1_000), vec![0, 1_000, 2_000]);
+        // A huge slice keeps one group per non-empty part.
+        assert_eq!(slice_starts(&[0, 0, 10], 20, usize::MAX), vec![0, 10]);
+        assert!(slice_starts(&[], 0, 1_000).is_empty());
     }
 
     #[test]

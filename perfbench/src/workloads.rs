@@ -59,11 +59,30 @@ const RECONCILE_BOOTS: usize = 4;
 const QUERY_POOL: usize = 4_096;
 /// Fact queries per `/query/batch` request.
 const BATCH_QUERIES: usize = 64;
+/// Rows per batch of the bulk loads whose acks are the ingest latency
+/// samples: small enough that every run times tens of thousands of acks
+/// spread over seconds, so a short stall of the host moves few of the
+/// slices.
+const READ_STORM_BATCH_ROWS: usize = 5;
+const RECONCILE_BATCH_ROWS: usize = 10;
+/// Fresh servers that bulk-load `full_reconcile`'s snapshot rows for its
+/// ingest samples: a fresh server's speed varies by tens of percent from
+/// one boot to the next.
+const RECONCILE_LOADS: usize = 3;
+/// Samples per slice of a latency series: the fewest that support a
+/// p99. A latency percentile is the median over slices of each slice's
+/// percentile.
+const LATENCY_SLICE: usize = 1_000;
 /// The generator's own lag limit (p99 of how late it noticed a request
 /// was due); a run beyond it is invalid.
 const LATE_LIMIT_MS: f64 = 100.0;
 /// Per-workload floor of `answer_accuracy`.
 const ACCURACY_FLOOR: f64 = 0.9;
+
+/// Indexes of the latency and freshness series in `Ctx::server_starts`.
+const QUERY: usize = 0;
+const ACK: usize = 1;
+const FRESH: usize = 2;
 
 /// Samples and state shared by the phases of one run.
 struct Ctx<'a> {
@@ -76,9 +95,7 @@ struct Ctx<'a> {
     next_lane: u64,
     setup_s: Vec<f64>,
     query_ms: Vec<f64>,
-    /// Successful queries, and the seconds from each window's start to
-    /// its last query's answer, summed over the windows (the storm's
-    /// length for a closed loop).
+    /// Successful closed-loop queries, and the storms' seconds summed.
     queries_done: u64,
     query_window_s: f64,
     /// Round-trip seconds of each `/query/batch` (of [`BATCH_QUERIES`]
@@ -86,14 +103,19 @@ struct Ctx<'a> {
     batches: Vec<f64>,
     ingest_rows_per_s: Vec<f64>,
     ack_ms: Vec<f64>,
+    /// `full_reconcile`'s probe beside the forced full refits: query and
+    /// ingest ack latencies (from the generator's pick-up), reported as
+    /// layer metrics.
+    beside_query_ms: Vec<f64>,
+    beside_ack_ms: Vec<f64>,
     fresh_s: Vec<f64>,
     refit_full_s: Vec<f64>,
     late_ms: Vec<f64>,
     /// `/proc/stat` CPU times when the first server's samples began.
     cpu_at_first_boot: Option<Vec<u64>>,
     /// Where each server's samples start in `query_ms`, `ack_ms` and
-    /// `fresh_s`: a latency percentile is the median over servers of
-    /// that server's percentile.
+    /// `fresh_s` (indexed by [`QUERY`], [`ACK`], [`FRESH`]): slices of a
+    /// series never straddle two servers.
     server_starts: Vec<[usize; 3]>,
     /// Client-side `/query` round trips (from send) in the window; their
     /// mean gives the front end's self time.
@@ -131,6 +153,8 @@ impl<'a> Ctx<'a> {
             batches: Vec::new(),
             ingest_rows_per_s: Vec::new(),
             ack_ms: Vec::new(),
+            beside_query_ms: Vec::new(),
+            beside_ack_ms: Vec::new(),
             fresh_s: Vec::new(),
             refit_full_s: Vec::new(),
             late_ms: Vec::new(),
@@ -247,8 +271,7 @@ pub fn run(args: &Args, scratch: &Path, origin: Instant) -> Result<Report, Strin
 /// that then serves an equal share of the window: one `setup_s` sample
 /// and one bulk load (the ingest and freshness samples) per server. How
 /// a server's threads land on the cores differs from one boot to the
-/// next and moves every latency with it, so one run samples several and
-/// reports the median over them.
+/// next and moves every latency with it, so one run samples several.
 fn read_storm(ctx: &mut Ctx) -> Result<(), String> {
     let seed = ctx.args.seed;
     let share = ctx.args.seconds / READ_STORM_SETUPS as f64;
@@ -260,10 +283,7 @@ fn read_storm(ctx: &mut Ctx) -> Result<(), String> {
     ctx.report.meta("setups", READ_STORM_SETUPS.to_string());
     ctx.report
         .meta_str("automatic_refits", "off (min_pending unreachable)");
-    let bodies: Vec<(String, String)> = queries
-        .iter()
-        .map(|q| (q.path().to_owned(), q.body(&corpus.sources)))
-        .collect();
+    let bodies = query_bodies(&queries, &corpus.sources);
     let batch_bodies = batch_bodies(&queries, &corpus.sources);
     reset_peak_rss(ctx);
     for round in 0..READ_STORM_SETUPS {
@@ -275,7 +295,13 @@ fn read_storm(ctx: &mut Ctx) -> Result<(), String> {
         let setup = ctx.trace.begin("setup", None, 0);
         let server = boot_quiet(None)?;
         let fresh = Freshness::start(&server);
-        bulk_load(ctx, &server, &corpus.rows, 25, Some(&fresh))?;
+        bulk_load(
+            ctx,
+            &server,
+            &corpus.rows,
+            READ_STORM_BATCH_ROWS,
+            Some(&fresh),
+        )?;
         force_full_refit(ctx, &server)?;
         ctx.trace.end(setup);
         ctx.setup_s.push(started.elapsed().as_secs_f64());
@@ -289,9 +315,7 @@ fn read_storm(ctx: &mut Ctx) -> Result<(), String> {
         let before = ctx.scrape(&mut admin)?;
         let rtt_from = ctx.query_rtt_ms.len();
         let epoch_before = server.predictor().load().epoch;
-        let storm_s = share * 0.75;
-        closed_loop_storm(ctx, addr, &bodies, 2, 32, storm_s);
-        batch_phase(ctx, addr, &batch_bodies, share - storm_s);
+        read_phase(ctx, addr, &bodies, &batch_bodies, share);
         let after = ctx.scrape(&mut admin)?;
         let epoch_after = server.predictor().load().epoch;
         ctx.report.check(
@@ -313,28 +337,35 @@ fn read_storm(ctx: &mut Ctx) -> Result<(), String> {
 }
 
 /// Full reconciliation: boot on a prepared WAL + snapshot directory of
-/// about 550k claims, then force a full refit beside a low-rate
-/// open-loop probe of queries and small ingest batches.
+/// about 550k claims, read from the restored store, then force a full
+/// refit beside a low-rate open-loop probe of queries and small ingest
+/// batches.
 ///
 /// The directory is booted [`RECONCILE_BOOTS`] times, back to back.
-/// Each boot is one `setup_s` sample; once its daemon is idle, it serves
-/// an equal share of `--seconds`, which starts with one forced full
-/// refit, so every share sees the same phases. Each latency percentile
-/// is the median over the boots of that boot's percentile.
+/// Each boot is one `setup_s` sample; once it is idle, it serves an equal
+/// share of `--seconds`: first the reads of `read_storm` on the restored
+/// store (the query samples), then one forced full refit beside the probe
+/// (the `refit_full_s` and freshness samples). The ingest samples are
+/// bulk loads of the snapshot rows (see [`prepare_reconcile`]).
+/// Latencies beside the refit are layer metrics only: with two chains
+/// folding on two cores they time the host's scheduler and its CPU
+/// steal, which moved their p99 by several times from run to run.
 fn full_reconcile(ctx: &mut Ctx, scratch: &Path) -> Result<(), String> {
+    /// Share of each boot's window that the reads take.
+    const READ_SHARE: f64 = 0.5;
     const PROBE_QUERIES_PER_S: f64 = 500.0;
-    // Enough ingest batches that each boot's share supports a p99.
     const PROBE_INGESTS_PER_S: f64 = 275.0;
     const PROBE_ROWS: usize = 2;
     let seed = ctx.args.seed;
     let share = ctx.args.seconds / RECONCILE_BOOTS as f64;
+    let (read_s, reconcile_s) = (share * READ_SHARE, share * (1.0 - READ_SHARE));
     let t = Instant::now();
     let mut corpus = Corpus::books(books_for_claims(FULL_RECONCILE_CLAIMS), seed);
     ctx.phase("corpus", t);
     corpus_meta(ctx, &corpus);
     let queries = corpus::queries(&corpus, seed, QUERY_POOL);
     // Every boot ingests the same probe rows on top of the same base.
-    let probe_rows = (PROBE_INGESTS_PER_S * share) as usize * PROBE_ROWS;
+    let probe_rows = (PROBE_INGESTS_PER_S * reconcile_s) as usize * PROBE_ROWS;
     let (base, probe) = corpus.split_tail(probe_rows, seed);
     // `base` and `probe` hold every row; drop the corpus's own copy
     // before the measured boots.
@@ -356,7 +387,15 @@ fn full_reconcile(ctx: &mut Ctx, scratch: &Path) -> Result<(), String> {
     ctx.phase("prepare", t);
     wal_meta(ctx, &WalConfig::new(&prepared));
 
-    let mut probes = query_jobs(&queries, &corpus.sources, PROBE_QUERIES_PER_S, share, 100);
+    let bodies = query_bodies(&queries, &corpus.sources);
+    let batch_bodies = batch_bodies(&queries, &corpus.sources);
+    let mut probes = query_jobs(
+        &queries,
+        &corpus.sources,
+        PROBE_QUERIES_PER_S,
+        reconcile_s,
+        100,
+    );
     probes.extend(probe.chunks(PROBE_ROWS).enumerate().map(|(i, rows)| Job {
         due: Duration::from_secs_f64((i as f64 + 0.5) / PROBE_INGESTS_PER_S),
         op: Op::Ingest,
@@ -379,7 +418,7 @@ fn full_reconcile(ctx: &mut Ctx, scratch: &Path) -> Result<(), String> {
         ctx.trace.end(setup);
         ctx.setup_s.push(started.elapsed().as_secs_f64());
         // Let the daemon fold the replayed tail first, so every share of
-        // the window starts the same way: with a forced full refit.
+        // the window starts the same way: reads on an idle server.
         let t = Instant::now();
         wait_idle(&server)?;
         ctx.phase("replayed tail folded", t);
@@ -389,9 +428,10 @@ fn full_reconcile(ctx: &mut Ctx, scratch: &Path) -> Result<(), String> {
         let mut admin = client(addr);
         let before = ctx.scrape(&mut admin)?;
         let rtt_from = ctx.query_rtt_ms.len();
+        read_phase(ctx, addr, &bodies, &batch_bodies, read_s);
         let fresh = Freshness::start(&server);
         let start = Instant::now() + Duration::from_millis(50);
-        let until = start + Duration::from_secs_f64(share);
+        let until = start + Duration::from_secs_f64(reconcile_s);
         // One forced full refit per share, triggered as the probe starts.
         let forcing = |ctx: &mut Ctx, server: &Server| -> Result<(), String> {
             std::thread::sleep(start.saturating_duration_since(Instant::now()));
@@ -401,10 +441,8 @@ fn full_reconcile(ctx: &mut Ctx, scratch: &Path) -> Result<(), String> {
             ctx,
             &server,
             &fresh,
-            start,
-            until,
+            (start, until),
             probes.clone(),
-            &[16, 2],
             forcing,
         )?;
         let t = Instant::now();
@@ -435,7 +473,7 @@ fn full_reconcile(ctx: &mut Ctx, scratch: &Path) -> Result<(), String> {
             layers::store_path(ctx_layers(ctx), &base, &probe, PROBE_ROWS);
             layers::capture(ctx_layers(ctx), &server);
             layers::restore(ctx_layers(ctx), &prepared.join("snapshot.json"))?;
-            tracing_overhead(ctx, addr, &query_bodies(&queries, &corpus.sources));
+            tracing_overhead(ctx, addr, &bodies);
         }
         let t = Instant::now();
         server.shutdown().map_err(|e| format!("shutdown: {e}"))?;
@@ -446,11 +484,19 @@ fn full_reconcile(ctx: &mut Ctx, scratch: &Path) -> Result<(), String> {
 }
 
 /// Builds the directory `full_reconcile` boots from, through a server
-/// with the WAL on and automatic refits off: bulk-load `snap_rows` (the
-/// durable bulk load that `ingest_triples_per_s` reads here), publish a
-/// full epoch, compact into the snapshot, then journal `wal_rows` past
-/// it and copy the directory before the server's final compaction folds
-/// them in.
+/// with the WAL on and automatic refits off: bulk-load `snap_rows`,
+/// publish a full epoch, compact into the snapshot, then journal
+/// `wal_rows` past it and copy the directory before the server's final
+/// compaction folds them in. Then takes `full_reconcile`'s ingest
+/// samples: [`RECONCILE_LOADS`] fresh servers, one after another, each
+/// bulk-load `snap_rows` in small batches.
+///
+/// The sampled loads run with the WAL off. With it on, an ack waits on
+/// the disk: for its fsync, and without one, on the kernel's writeback
+/// of the appended pages. On a virtual disk shared with other guests
+/// that moved the ack p99 by up to 1.6 ms against 0.1 ms from run to
+/// run, so the WAL's part is a layer metric instead (`wal.append_mean_ms`
+/// and `wal.fsync_mean_ms`, from the booted servers' durable probe).
 fn prepare_reconcile(
     ctx: &mut Ctx,
     prepared: &Path,
@@ -459,28 +505,49 @@ fn prepare_reconcile(
 ) -> Result<(), String> {
     let staging = prepared.with_extension("staging");
     // Automatic refits off: the directory is built the same way on every
-    // run, and the bulk load measures the durable ingest path alone.
+    // run.
     let server = boot_quiet(Some(WalConfig::new(&staging)))?;
+    let (acks, rates) = (ctx.ack_ms.len(), ctx.ingest_rows_per_s.len());
     bulk_load(ctx, &server, snap_rows, 1_000, None)?;
     force_full_refit(ctx, &server)?;
     ctx.refit_full_s.clear();
     let mut admin = client(server.addr());
     ctx.call(&mut admin, Op::Admin, "POST", "/admin/compact", "")?;
     bulk_load(ctx, &server, wal_rows, 1_000, None)?;
-    ctx.ingest_rows_per_s.pop();
+    ctx.ack_ms.truncate(acks);
+    ctx.ingest_rows_per_s.truncate(rates);
     // The tail is fsync'd (acked) and sits in the active segment, which
     // the background compactor leaves alone.
     copy_dir(&staging, prepared)?;
     server.shutdown().map_err(|e| format!("shutdown: {e}"))?;
     let _ = std::fs::remove_dir_all(&staging);
-    // Only the probe's acks count toward the ack latencies.
-    ctx.ack_ms.clear();
+    for _ in 0..RECONCILE_LOADS {
+        ctx.new_server();
+        let server = boot_quiet(None)?;
+        bulk_load(ctx, &server, snap_rows, RECONCILE_BATCH_ROWS, None)?;
+        server.shutdown().map_err(|e| format!("shutdown: {e}"))?;
+    }
     Ok(())
 }
 
 // ---------------------------------------------------------------------------
 // Load phases
 // ---------------------------------------------------------------------------
+
+/// The reads of a window: a closed-loop `/query` storm on 2 threads over
+/// 64 keep-alive connections for three quarters of `seconds`, then one
+/// connection streaming `/query/batch` for the rest.
+fn read_phase(
+    ctx: &mut Ctx,
+    addr: SocketAddr,
+    bodies: &[(String, String)],
+    batch_bodies: &[String],
+    seconds: f64,
+) {
+    let storm_s = seconds * 0.75;
+    closed_loop_storm(ctx, addr, bodies, 2, 32, storm_s);
+    batch_phase(ctx, addr, batch_bodies, seconds - storm_s);
+}
 
 /// Closed loop: `threads` threads, each cycling round-robin over its own
 /// `conns` keep-alive connections with one request outstanding.
@@ -573,11 +640,11 @@ fn batch_bodies(queries: &[Query], sources: &[String]) -> Vec<String> {
         .collect()
 }
 
-/// The plain `/query` body of every query (no `?methods=`).
+/// The path (1 in 20 with `?methods=all`) and body of every query.
 fn query_bodies(queries: &[Query], sources: &[String]) -> Vec<(String, String)> {
     queries
         .iter()
-        .map(|q| ("/query".to_owned(), q.body(sources)))
+        .map(|q| (q.path().to_owned(), q.body(sources)))
         .collect()
 }
 
@@ -646,27 +713,31 @@ const READ_LANE: usize = 0;
 /// Lane of the open loop that ingest batches use.
 const WRITE_LANE: usize = 1;
 
-/// Runs `jobs` as one open loop on its own thread over the window,
-/// with `lanes[l]` connections for lane `l`, while `main` runs on the
-/// calling thread. Returns the tags of acked ingest jobs.
-#[allow(clippy::too_many_arguments)]
+/// Connections of the open loop's lanes: queries and batches on 16,
+/// ingest on 2, so requests of one kind stalled in the server cannot
+/// hold the connections of the other.
+const LANES: [usize; 2] = [16, 2];
+
+/// Runs `jobs` as one open loop on its own thread over `window` (start,
+/// end), while `main` runs on the calling thread; the latencies feed the
+/// layer metrics of latency beside a refit. Returns the tags of acked
+/// ingest jobs.
 fn open_loop(
     ctx: &mut Ctx,
     server: &Server,
     fresh: &Freshness,
-    start: Instant,
-    until: Instant,
+    window: (Instant, Instant),
     jobs: Vec<Job>,
-    lanes: &[usize],
     main: impl FnOnce(&mut Ctx, &Server) -> Result<(), String>,
 ) -> Result<Vec<usize>, String> {
+    let (start, until) = window;
     let addr = server.addr();
     let store = server.store();
     let mut lane = ctx.trace_lane();
     let (result, main_result) = std::thread::scope(|scope| {
         let handle = scope.spawn(|| {
             let mut done = Vec::new();
-            net::open_loop(addr, lanes, start, until, jobs, &mut |d: Done| {
+            net::open_loop(addr, &LANES, start, until, jobs, &mut |d: Done| {
                 if d.op == Op::Ingest && d.ok() {
                     fresh.push(d.done, store.accepted_seq());
                 }
@@ -684,37 +755,28 @@ fn open_loop(
     let done = result.map_err(|e| format!("open loop: {e}"))?;
     main_result?;
     let mut acked = Vec::new();
-    let mut last_query = start;
-    {
-        for d in done {
-            let ok = d.ok();
-            ctx.report.op(d.op, ok);
-            ctx.late_ms.push(d.late_ms());
-            let latency = if ok { d.latency_ms() } else { f64::INFINITY };
-            match d.op {
-                Op::Query => {
-                    ctx.query_ms.push(latency);
-                    last_query = last_query.max(d.done);
-                    if ok {
-                        ctx.queries_done += 1;
-                        ctx.query_rtt_ms
-                            .push(d.done.duration_since(d.sent).as_secs_f64() * 1e3);
-                    }
+    for d in done {
+        let ok = d.ok();
+        ctx.report.op(d.op, ok);
+        ctx.late_ms.push(d.late_ms());
+        let latency = if ok { d.latency_ms() } else { f64::INFINITY };
+        match d.op {
+            Op::Query => {
+                ctx.beside_query_ms.push(latency);
+                if ok {
+                    ctx.query_rtt_ms
+                        .push(d.done.duration_since(d.sent).as_secs_f64() * 1e3);
                 }
-                Op::Batch if ok => ctx
-                    .batches
-                    .push(d.done.duration_since(d.sent).as_secs_f64()),
-                Op::Ingest => {
-                    ctx.ack_ms.push(latency);
-                    if ok {
-                        acked.push(d.tag);
-                    }
-                }
-                _ => {}
             }
+            Op::Ingest => {
+                ctx.beside_ack_ms.push(latency);
+                if ok {
+                    acked.push(d.tag);
+                }
+            }
+            _ => {}
         }
     }
-    ctx.query_window_s += last_query.duration_since(start).as_secs_f64();
     acked.sort_unstable();
     Ok(acked)
 }
@@ -827,7 +889,10 @@ fn force_full_refit(ctx: &mut Ctx, server: &Server) -> Result<(), String> {
     }
 }
 
-/// Waits until the daemon has nothing pending.
+/// Waits until the daemon has nothing pending and the process has gone
+/// quiet: a refit folds and fits its shadow baselines for seconds after
+/// it took the pending rows, and a phase that started then would run
+/// beside it. Quiet means under 2 CPU ticks (20 ms) in a 250 ms window.
 fn wait_idle(server: &Server) -> Result<(), String> {
     let deadline = Instant::now() + Duration::from_secs(120);
     while server.store().pending() > 0 {
@@ -836,7 +901,33 @@ fn wait_idle(server: &Server) -> Result<(), String> {
         }
         std::thread::sleep(Duration::from_millis(2));
     }
-    Ok(())
+    let mut ticks = process_cpu_ticks();
+    loop {
+        std::thread::sleep(Duration::from_millis(250));
+        let now = process_cpu_ticks();
+        if now.saturating_sub(ticks) < 2 {
+            return Ok(());
+        }
+        if Instant::now() > deadline {
+            return Err("the server never went idle".into());
+        }
+        ticks = now;
+    }
+}
+
+/// CPU time this process has used (user plus system), in clock ticks,
+/// from `/proc/self/stat`; 0 where the file is missing.
+fn process_cpu_ticks() -> u64 {
+    std::fs::read_to_string("/proc/self/stat")
+        .ok()
+        .and_then(|s| {
+            // Fields after the parenthesised command name; utime and
+            // stime are the 14th and 15th fields of the whole line.
+            let rest = &s[s.rfind(')')? + 1..];
+            let f: Vec<&str> = rest.split_whitespace().collect();
+            Some(f.get(11)?.parse::<u64>().ok()? + f.get(12)?.parse::<u64>().ok()?)
+        })
+        .unwrap_or(0)
 }
 
 /// Waits until `/healthz` answers 200 with a published epoch.
@@ -1256,23 +1347,39 @@ fn finish(mut ctx: Ctx) -> Result<Report, String> {
     cpu_meta(&mut ctx);
     let window_ms = ctx.query_window_s * 1e3;
     // A failed request misses every latency limit: it reads as the whole
-    // window. A percentile is the median over the run's servers of each
-    // server's percentile.
+    // window. A latency percentile is the median over consecutive slices
+    // of LATENCY_SLICE samples (none across two servers) of each slice's
+    // percentile: the host lends the machine's two cores unevenly, and a
+    // burst of CPU steal then moves the few slices it covers instead of a
+    // whole server's tail. Freshness follows each server's bulk load or
+    // refit from start to end, so its percentile is taken per server.
     let starts = &ctx.server_starts;
+    let groups = |series: usize, len: usize| -> Vec<usize> {
+        let from: Vec<usize> = starts.iter().map(|s| s[series]).collect();
+        let slice = if series == FRESH {
+            usize::MAX
+        } else {
+            LATENCY_SLICE
+        };
+        stats::slice_starts(&from, len, slice)
+    };
     let pick = |samples: &[f64], series: usize, q: f64, what: &str| -> Result<f64, String> {
         let capped: Vec<f64> = samples
             .iter()
             .map(|&v| if v.is_finite() { v } else { window_ms })
             .collect();
-        let from: Vec<usize> = starts.iter().map(|s| s[series]).collect();
-        stats::median_of_groups(&capped, &from, q).map_err(|e| format!("{what}: {e}"))
+        stats::median_of_groups(&capped, &groups(series, samples.len()), q)
+            .map_err(|e| format!("{what}: {e}"))
     };
     let e2e = &mut ctx.report.e2e;
     e2e.insert("setup_s", stats::median(&ctx.setup_s));
-    e2e.insert("query_p50_ms", pick(&ctx.query_ms, 0, 0.5, "query_p50_ms")?);
+    e2e.insert(
+        "query_p50_ms",
+        pick(&ctx.query_ms, QUERY, 0.5, "query_p50_ms")?,
+    );
     e2e.insert(
         "query_p99_ms",
-        pick(&ctx.query_ms, 0, 0.99, "query_p99_ms")?,
+        pick(&ctx.query_ms, QUERY, 0.99, "query_p99_ms")?,
     );
     // A closed loop's throughput is its median whole second, so one
     // disturbed second does not move it; an open loop's is its rate.
@@ -1296,19 +1403,19 @@ fn finish(mut ctx: Ctx) -> Result<Report, String> {
     );
     e2e.insert(
         "ingest_ack_p50_ms",
-        pick(&ctx.ack_ms, 1, 0.5, "ingest_ack_p50_ms")?,
+        pick(&ctx.ack_ms, ACK, 0.5, "ingest_ack_p50_ms")?,
     );
     e2e.insert(
         "ingest_ack_p99_ms",
-        pick(&ctx.ack_ms, 1, 0.99, "ingest_ack_p99_ms")?,
+        pick(&ctx.ack_ms, ACK, 0.99, "ingest_ack_p99_ms")?,
     );
     e2e.insert(
         "freshness_p50_s",
-        pick(&ctx.fresh_s, 2, 0.5, "freshness_p50_s")?,
+        pick(&ctx.fresh_s, FRESH, 0.5, "freshness_p50_s")?,
     );
     e2e.insert(
         "freshness_p90_s",
-        pick(&ctx.fresh_s, 2, 0.9, "freshness_p90_s")?,
+        pick(&ctx.fresh_s, FRESH, 0.9, "freshness_p90_s")?,
     );
     e2e.insert("refit_full_s", stats::median(&ctx.refit_full_s));
     e2e.insert("peak_rss_mb", ctx.peak_rss_mb.unwrap_or(0.0));
@@ -1321,16 +1428,28 @@ fn finish(mut ctx: Ctx) -> Result<Report, String> {
     .into_iter()
     .enumerate()
     {
-        let mut bounds: Vec<usize> = ctx.server_starts.iter().map(|s| s[series]).collect();
+        let mut bounds = groups(series, samples.len());
         bounds.push(samples.len());
         let fewest = bounds.windows(2).map(|b| b[1] - b[0]).min().unwrap_or(0);
         ctx.report.info.push(format!(
-            "samples {what}: {} over {} servers, fewest {fewest} on one (highest percentile it supports {})",
+            "samples {what}: {} in {} groups, fewest {fewest} in one (highest percentile it supports {})",
             samples.len(),
-            ctx.server_starts.len(),
+            bounds.len() - 1,
             stats::highest_supported(fewest)
         ));
     }
+    beside_refit(
+        &mut ctx.report,
+        "query",
+        "refit.beside_query_p99_ms",
+        &ctx.beside_query_ms,
+    );
+    beside_refit(
+        &mut ctx.report,
+        "ingest ack",
+        "refit.beside_ack_p99_ms",
+        &ctx.beside_ack_ms,
+    );
     ctx.report.info.push(format!(
         "samples setup: {}, full refits: {}, batches: {}",
         ctx.setup_s.len(),
@@ -1369,6 +1488,36 @@ fn finish(mut ctx: Ctx) -> Result<Report, String> {
         }
     }
     Ok(ctx.report)
+}
+
+/// Reports the latencies of `full_reconcile`'s probe beside its forced
+/// full refits, pooled over the run: p50 and p99 as text, the p99 as the
+/// layer metric `name` (absent when the probe did not run or too few
+/// samples support a p99).
+fn beside_refit(report: &mut Report, what: &str, name: &'static str, samples: &[f64]) {
+    if samples.is_empty() {
+        return;
+    }
+    let sorted = stats::sorted(samples);
+    let p50 = stats::percentile(&sorted, 0.5);
+    match stats::percentile(&sorted, 0.99) {
+        Ok(p99) if p99.is_finite() => {
+            report.layers.insert(name, p99);
+            report.info.push(format!(
+                "beside the forced full refits: {what} p50 {:.4} ms, p99 {p99:.4} ms over {} samples",
+                p50.unwrap_or(f64::NAN),
+                samples.len()
+            ));
+        }
+        Ok(_) => {
+            let why = format!("over 1% of the {what} requests beside the refits failed");
+            report.absent.insert(name, why);
+        }
+        Err(e) => {
+            let why = format!("{what} beside the refits: {e}");
+            report.absent.insert(name, why);
+        }
+    }
 }
 
 /// Writes the spans as JSON lines and reports self time per layer.
