@@ -8,7 +8,7 @@ pub const EXPLANATIONS: &[(&str, &str)] = &[
         "lock-order",
         "A lock was acquired while holding another lock that ranks *after* it \
 in the declared partial order (analyzer.toml `[locks] order`). The store's \
-discipline is log -> sources -> shard -> registry: every thread that takes \
+discipline is ingest -> sources -> shard -> registry: every thread that takes \
 more than one of these must take them in that order, or two threads can \
 deadlock by each holding the lock the other wants. Fix by reordering the \
 acquisitions, by copying what you need out of the first guard and dropping \

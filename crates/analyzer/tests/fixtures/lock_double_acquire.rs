@@ -1,19 +1,19 @@
 // expect: lock-double
 //
-// Re-acquires `log` while its guard is still bound — a self-deadlock on
-// a non-reentrant mutex. `shards` is declared multi_instance, so this
+// Re-acquires `ingest` while its guard is still bound — a self-deadlock
+// on a non-reentrant mutex. `shards` is declared multi_instance, so this
 // shape is only legal across distinct shard instances.
 
 use std::sync::Mutex;
 
 pub struct Store {
-    log: Mutex<Vec<u64>>,
+    ingest: Mutex<u64>,
 }
 
 impl Store {
-    pub fn reentrant(&self) -> usize {
-        let first = self.log.locked();
-        let second = self.log.locked();
-        first.len() + second.len()
+    pub fn reentrant(&self) -> u64 {
+        let first = self.ingest.locked();
+        let second = self.ingest.locked();
+        *first + *second
     }
 }

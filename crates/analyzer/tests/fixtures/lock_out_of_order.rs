@@ -1,20 +1,20 @@
 // expect: lock-order
 //
-// Acquires `log` (rank 1) while a `sources` guard (rank 2) is still
+// Acquires `ingest` (rank 1) while a `sources` guard (rank 2) is still
 // held; the declared partial order is
-// persist -> log -> sources -> shards -> registry.
+// persist -> ingest -> sources -> shards -> registry.
 
 use std::sync::{Mutex, RwLock};
 
 pub struct Store {
-    log: Mutex<Vec<u64>>,
+    ingest: Mutex<u64>,
     sources: RwLock<Vec<String>>,
 }
 
 impl Store {
     pub fn inverted(&self) -> usize {
         let sources = self.sources.read_locked();
-        let log = self.log.locked();
-        sources.len() + log.len()
+        let seq = self.ingest.locked();
+        sources.len() + *seq as usize
     }
 }

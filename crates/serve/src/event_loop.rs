@@ -28,6 +28,12 @@
 //! request in progress; a *write deadline* drops peers that stop
 //! reading their response. All three derive from
 //! [`crate::server::ServeConfig::io_timeout`].
+//!
+//! **Descriptor exhaustion.** When `accept` fails with `EMFILE` or
+//! `ENFILE`, the loop takes the listener out of its poll set and re-arms
+//! it from the wait timeout `ACCEPT_BACKOFF` later, so a server out of
+//! descriptors waits for a close instead of spinning on a listener that
+//! stays readable.
 
 use std::collections::{HashMap, VecDeque};
 use std::io::{self, Read, Write};
@@ -93,6 +99,16 @@ const READ_BUDGET: usize = 16 * 4096;
 /// The sweep cadence when deadlines are armed: epoll_wait never sleeps
 /// past this, so reaping lags a deadline by at most one tick.
 const SWEEP_MS: i32 = 100;
+
+/// How long the loop stops polling the listener after accept fails for
+/// want of file descriptors. The listener is level-triggered: while the
+/// backlog holds a connection it cannot accept, polling it would wake the
+/// loop at once, forever — a busy spin.
+const ACCEPT_BACKOFF: Duration = Duration::from_millis(100);
+
+/// `accept` errors that mean the process or system is out of file
+/// descriptors (Linux `ENFILE` and `EMFILE`).
+const FD_EXHAUSTED: [i32; 2] = [23, 24];
 
 /// One connection's state, owned exclusively by the loop thread.
 struct Conn {
@@ -225,6 +241,8 @@ impl EventLoop {
                     completions,
                     jobs,
                     cfg,
+                    accept_paused_until: None,
+                    fds_exhausted: false,
                 };
                 state.run(&loop_stop);
                 // The connection table drops here (closing every
@@ -265,6 +283,12 @@ struct LoopState {
     completions: Arc<Mutex<VecDeque<Completion>>>,
     jobs: Option<mpsc::Sender<Job>>,
     cfg: EventLoopConfig,
+    /// Set while the listener is out of the poll set after running out of
+    /// file descriptors: when to poll it again.
+    accept_paused_until: Option<Instant>,
+    /// Whether the last accept failed for want of descriptors (the
+    /// warning is logged once per such stretch, not per retry).
+    fds_exhausted: bool,
 }
 
 impl LoopState {
@@ -288,16 +312,30 @@ impl LoopState {
             }
             self.drain_completions();
             self.reap_deadlines();
+            self.resume_accept_when_due();
         }
     }
 
     /// How long epoll_wait may sleep: forever when no deadline can
-    /// expire, else until the next sweep tick.
+    /// expire, else until the next sweep tick — and no later than the
+    /// end of an accept backoff.
     fn wait_timeout_ms(&self) -> i32 {
-        if self.cfg.io_timeout.is_some() && !self.conns.is_empty() {
+        let sweep = if self.cfg.io_timeout.is_some() && !self.conns.is_empty() {
             SWEEP_MS
         } else {
             -1
+        };
+        match self.accept_paused_until {
+            Some(until) => {
+                // Rounded up, so the loop never wakes just short of it.
+                let left = until.saturating_duration_since(Instant::now()).as_millis() as i32 + 1;
+                if sweep < 0 {
+                    left
+                } else {
+                    sweep.min(left)
+                }
+            }
+            None => sweep,
         }
     }
 
@@ -307,19 +345,60 @@ impl LoopState {
         loop {
             match self.listener.accept() {
                 Ok((stream, _)) => {
+                    self.fds_exhausted = false;
                     if let Err(e) = self.add_conn(stream) {
                         crate::log_warn!("http", "cannot register connection: {e}");
                     }
                 }
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+                Err(e) if e.raw_os_error().is_some_and(|n| FD_EXHAUSTED.contains(&n)) => {
+                    // Out of descriptors: the pending connection stays in
+                    // the backlog until a close frees one. Stop polling
+                    // the listener until the backoff ends.
+                    if !self.fds_exhausted {
+                        crate::log_warn!(
+                            "http",
+                            "accept failed: {e}; retrying every {} ms until descriptors free up",
+                            ACCEPT_BACKOFF.as_millis()
+                        );
+                    }
+                    self.fds_exhausted = true;
+                    self.set_listener_interest(0);
+                    self.accept_paused_until = Some(Instant::now() + ACCEPT_BACKOFF);
+                    break;
+                }
                 Err(e) => {
-                    // Transient accept errors (EMFILE, ECONNABORTED):
-                    // log and retry on the next readiness wakeup.
+                    // Other transient accept errors (ECONNABORTED): the
+                    // failed connection is consumed, so log and retry on
+                    // the next readiness wakeup.
                     crate::log_warn!("http", "accept failed: {e}");
                     break;
                 }
             }
+        }
+    }
+
+    /// Polls the listener again once an accept backoff has run out.
+    fn resume_accept_when_due(&mut self) {
+        if self
+            .accept_paused_until
+            .is_some_and(|until| Instant::now() >= until)
+        {
+            self.accept_paused_until = None;
+            self.set_listener_interest(epoll::events::EPOLLIN);
+        }
+    }
+
+    fn set_listener_interest(&self, events: u32) {
+        use std::os::fd::AsRawFd;
+        if let Err(e) = epoll::ctl(
+            self.epfd,
+            epoll::ControlOptions::EpollCtlMod,
+            self.listener.as_raw_fd(),
+            epoll::Event::new(events, LISTENER_TOKEN),
+        ) {
+            crate::log_error!("http", "cannot change the listener's epoll interest: {e}");
         }
     }
 

@@ -12,9 +12,9 @@
 //!   accumulator, and refit daemon, so a slow fold in one domain never
 //!   delays another's promotion.
 //! * [`store`] — a **sharded in-memory claim store**: triples are
-//!   hash-partitioned by entity across N shards, each an append log with
-//!   coverage indexes that rebuilds its CSR [`ltm_model::ClaimDb`] on
-//!   refit. Source ids are global across shards.
+//!   hash-partitioned by entity across N shards, each a deduplicated row
+//!   set with coverage indexes that rebuilds its CSR
+//!   [`ltm_model::ClaimDb`] on refit. Source ids are global across shards.
 //! * [`epoch`] — **epoch-swapped predictors**: reads clone an
 //!   `Arc<EpochSnapshot>` out of one short critical section; the refit
 //!   daemon publishes whole new generations atomically, so queries never
@@ -31,13 +31,16 @@
 //!   keep-alive, pipelining, and a handler worker pool where supported
 //!   (Linux), falling back to a blocking fixed thread pool elsewhere
 //!   (no external deps beyond the vendored `epoll` shim).
-//! * [`snapshot`] — store + quality + accumulator persistence, so a
-//!   restarted server resumes its last epoch *and* keeps refitting
-//!   incrementally instead of cold-refitting.
-//! * [`wal`] — a per-domain **write-ahead log**: every accepted ingest
-//!   batch is CRC32-framed, appended, and fsync'd (per `--wal-sync`)
-//!   before the HTTP ack; a background compactor folds sealed segments
-//!   into the snapshot, and boot replays the tail — so an acked batch
+//! * [`snapshot`] — checkpoint persistence (format v3): each store's
+//!   derived state at one accepted sequence plus quality and
+//!   accumulator, saved compact and fsync'd, so a restarted server
+//!   resumes its last epoch *and* keeps refitting incrementally instead
+//!   of cold-refitting. Older snapshot versions are refused by name.
+//! * [`wal`] — a per-domain **write-ahead log**, the only row-level log:
+//!   every accepted ingest batch is CRC32-framed, appended, and fsync'd
+//!   (per `--wal-sync`) before the HTTP ack; a background compactor
+//!   saves a snapshot and deletes the sealed segments it covers, and
+//!   boot replays the records past the checkpoint — so an acked batch
 //!   survives `kill -9` (see DESIGN.md §6 "Durability").
 //! * [`shadow`] — the **baseline shadow ensemble**: each promoted refit
 //!   also fits the seven Table 7 baselines on the same extraction and
@@ -88,7 +91,7 @@ pub use shadow::{Agreement, ShadowColumn, ShadowObs, ShadowTables};
 pub use snapshot::Snapshot;
 pub use store::{
     BatchOutcome, FactView, IngestOutcome, LogRecord, RealFactView, RealStoreDelta, ShardedStore,
-    StoreDelta, StoreDeltaOf, StoreStats,
+    StoreCheckpoint, StoreDelta, StoreDeltaOf, StoreStats,
 };
 pub use sync::{LockExt, RwLockExt};
 pub use wal::{DomainWal, WalConfig, WalObs, WalSyncPolicy};

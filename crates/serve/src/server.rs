@@ -244,10 +244,10 @@ impl Context {
     }
 
     /// One compaction pass: capture each domain's accepted sequence,
-    /// fold everything into the snapshot (the v2 snapshot holds the full
-    /// replay log, so one save covers every domain), then delete the
-    /// sealed segments the snapshot now covers. Returns segments
-    /// deleted. `seal_first` rotates active segments so the entire log
+    /// save the snapshot (one save checkpoints every domain at or past
+    /// that sequence, and returns only once it is durable), then delete
+    /// the sealed segments the snapshot now covers. A failed save
+    /// deletes nothing. Returns segments deleted. `seal_first` rotates active segments so the entire log
     /// becomes foldable (`/admin/compact`, shutdown); the background
     /// compactor leaves active segments alone.
     fn compact(&self, seal_first: bool) -> io::Result<usize> {

@@ -1,27 +1,27 @@
-//! Snapshot save/restore: every domain's store contents + learned state
-//! as one JSON file, so a restarted server resumes serving its last
+//! Snapshot save/restore: every domain's store checkpoint + learned
+//! state as one JSON file, so a restarted server resumes serving its last
 //! published epochs without refitting from scratch.
 //!
-//! **Format v2** (current): a `domains` array, one record per hosted
-//! domain, each carrying the domain's name, [`ModelKind`] wire name,
-//! shard count, accepted-row replay log (with per-row values for
-//! real-valued domains), pending watermark, refit accumulator, and
-//! served epoch. **Format v1** (single-domain servers, pre-multi-model)
-//! is still loadable: [`load`] upgrades it in memory to a v2 snapshot
-//! holding one boolean [`DEFAULT_DOMAIN`] record, so old snapshots
-//! restore with bit-identical answers and re-save as v2.
+//! **Format v3** (the only one [`load`] accepts): a `domains` array, one
+//! record per hosted domain, each carrying the domain's name,
+//! [`ModelKind`] wire name, a [`StoreCheckpoint`] of its store at one
+//! accepted sequence `S`, the refit accumulator, and the served epoch.
+//! The snapshot holds no rows: the write-ahead log is the only row-level
+//! log, and boot replays the WAL records past `S` on top of the restored
+//! checkpoint. Files of older versions (which carried the whole row log)
+//! are refused with an error naming their version.
 //!
-//! Per domain the invariants are unchanged from v1: the store side is
-//! the accepted-row log in arrival order (replaying it through a fresh
-//! [`ShardedStore`] with the same shard count reproduces every id
-//! assignment); the predictor side is the raw parameter tables of the
-//! served epoch plus the pending watermark; the refit side is the
-//! streaming accumulator — expected-count cells for boolean domains
-//! (4 per source), Gaussian sufficient statistics for real-valued ones
-//! (6 per source) — plus its fold watermark, so a restarted server
-//! resumes *incremental* refits over the unfolded tail.
+//! Per domain: the store side is the checkpoint (names, id assignments,
+//! asserted rows, values, dirty maps, sequence, pending count — restore
+//! derives every index from it, so global fact ids and sequence numbers
+//! survive); the predictor side is the raw parameter tables of the
+//! served epoch; the refit side is the streaming accumulator —
+//! expected-count cells for boolean domains (4 per source), Gaussian
+//! sufficient statistics for real-valued ones (6 per source) — plus its
+//! fold watermark, so a restarted server resumes *incremental* refits
+//! over the unfolded tail.
 
-use std::io;
+use std::io::{self, Write};
 use std::path::Path;
 use std::sync::Arc;
 
@@ -31,26 +31,15 @@ use ltm_core::{
 };
 use serde::{Deserialize, Serialize};
 
-use crate::domain::{Domain, DomainSet, DEFAULT_DOMAIN};
+use crate::domain::{Domain, DomainSet};
 use crate::epoch::EpochSnapshot;
 use crate::model::{ModelKind, ServePredictor};
 use crate::refit::RefitConfig;
 use crate::shadow::{ShadowColumn, ShadowTables};
-use crate::store::{LogRecord, ShardedStore};
+use crate::store::StoreCheckpoint;
 
-/// One accepted row: the triple plus the optional value carried by
-/// real-valued domains (absent in v1 snapshots and boolean domains).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct TripleRec {
-    /// Entity name.
-    pub entity: String,
-    /// Attribute name.
-    pub attr: String,
-    /// Source name.
-    pub source: String,
-    /// Claim value (real-valued domains only).
-    pub value: Option<f64>,
-}
+/// The snapshot format version [`capture`] writes and [`load`] accepts.
+pub const VERSION: u32 = 3;
 
 /// The real-valued predictor parameters of a served epoch.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -127,12 +116,10 @@ pub struct EpochRec {
     pub trained_claims: usize,
     /// Sources covered by the learned quality.
     pub trained_sources: usize,
-    /// Real-valued predictor parameters (real-valued domains only;
-    /// absent in v1 snapshots).
+    /// Real-valued predictor parameters (real-valued domains only).
     pub real: Option<RealPredictorRec>,
-    /// Shadow baseline tables of the epoch (absent in pre-shadow
-    /// snapshots, real-valued domains, and epochs fit with shadows
-    /// disabled).
+    /// Shadow baseline tables of the epoch (absent for real-valued
+    /// domains and epochs fit with shadows disabled).
     pub shadow: Option<ShadowRec>,
 }
 
@@ -147,9 +134,9 @@ pub struct AccumulatorRec {
     /// Batches the saved trainer had folded (resumes per-batch seed
     /// decorrelation).
     pub batches_seen: usize,
-    /// Accepted-row sequence the accumulator covers. Replay reproduces
-    /// sequence numbers (they are replay-log positions), so this value
-    /// is directly meaningful to the restored store.
+    /// Accepted-row sequence the accumulator covers. The checkpoint and
+    /// WAL replay preserve sequence numbers, so this value is directly
+    /// meaningful to the restored store.
     pub watermark: u64,
 }
 
@@ -161,19 +148,11 @@ pub struct DomainRec {
     /// [`ModelKind`] wire name (`boolean` | `real_valued` |
     /// `positive_only`).
     pub kind: String,
-    /// Shard count the log was built with — restore replays into the
-    /// same partitioning so global fact ids survive.
-    pub shards: usize,
-    /// Global source names in id order (informational / validation).
-    pub sources: Vec<String>,
-    /// Accepted rows in arrival order.
-    pub triples: Vec<TripleRec>,
-    /// Tail of `triples` not yet folded by a refit at save time. Restore
-    /// leaves exactly this many rows pending so they still arm the refit
-    /// trigger after a restart — the saved epoch never saw them. `None`
-    /// in pre-watermark v1 snapshots, which treated the whole log as
-    /// folded.
-    pub pending: Option<usize>,
+    /// The store at one accepted sequence. Its `pending` count is the
+    /// tail no refit had folded at save time: restore leaves exactly
+    /// that many rows pending so they still arm the refit trigger after
+    /// a restart — the saved epoch never saw them.
+    pub store: StoreCheckpoint,
     /// The refit accumulator, if any fold had committed by save time.
     pub accumulator: Option<AccumulatorRec>,
     /// The served epoch, if any was published before the save.
@@ -181,25 +160,33 @@ pub struct DomainRec {
 }
 
 /// The on-disk snapshot: format version plus one record per domain.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct Snapshot {
-    /// Format version (2 current; v1 files are upgraded by [`load`]).
+    /// Format version ([`VERSION`]).
     pub version: u32,
     /// Per-domain state, in the server's domain order.
     pub domains: Vec<DomainRec>,
 }
 
-/// The v1 (single-domain) on-disk layout, kept for upgrade-on-load.
-#[derive(Debug, Clone, Deserialize)]
-struct SnapshotV1 {
-    #[allow(dead_code)] // parsed for shape validation only
-    version: u32,
-    shards: usize,
-    sources: Vec<String>,
-    triples: Vec<TripleRec>,
-    pending: Option<usize>,
-    accumulator: Option<AccumulatorRec>,
-    epoch: Option<EpochRec>,
+/// Reads `version` before anything else, so a file of another version is
+/// refused by name rather than by whichever of its fields fails to parse.
+impl Deserialize for Snapshot {
+    fn from_value(v: &serde::Value) -> Result<Self, serde::Error> {
+        let version = match v.get_field("version") {
+            Some(serde::Value::Int(n)) => *n,
+            _ => return Err(serde::Error::msg("snapshot has no integer `version` field")),
+        };
+        if version != i64::from(VERSION) {
+            return Err(serde::Error::msg(format!(
+                "snapshot format version {version} is not supported (this server reads \
+                 version {VERSION} only)"
+            )));
+        }
+        Ok(Snapshot {
+            version: VERSION,
+            domains: Deserialize::from_value(serde::field_or_null(v, "domains")?)?,
+        })
+    }
 }
 
 impl Snapshot {
@@ -209,14 +196,6 @@ impl Snapshot {
     }
 }
 
-/// Captures one domain's state: store first (one consistent read under
-/// the ingest-order lock), the refit accumulator second, the served
-/// epoch last — the same order a refit commits in reverse. A refit that
-/// lands in between can only make the saved accumulator/epoch *newer*
-/// than the saved log, which errs toward re-folding already-folded rows
-/// at the next boot (the refit path self-heals that with an Empty pass);
-/// the reverse order could pair an old accumulator with `pending: 0` and
-/// silently exclude the unfolded tail.
 /// Persists the raw shadow columns (the derived artifacts are rebuilt on
 /// restore).
 fn capture_shadow(tables: &ShadowTables) -> ShadowRec {
@@ -251,9 +230,16 @@ fn restore_shadow(rec: &ShadowRec) -> ShadowTables {
     )
 }
 
+/// Captures one domain's state: store first (one consistent checkpoint
+/// under the ingest-order lock), the refit accumulator second, the served
+/// epoch last — the same order a refit commits in reverse. A refit that
+/// lands in between can only make the saved accumulator/epoch *newer*
+/// than the saved checkpoint, which errs toward re-folding already-folded
+/// rows at the next boot (the refit path self-heals that with an Empty
+/// pass); the reverse order could pair an old accumulator with
+/// `pending: 0` and silently exclude the unfolded tail.
 fn capture_domain(domain: &Domain) -> DomainRec {
-    let store = domain.store();
-    let (sources, log, pending) = store.persistence_snapshot();
+    let store = domain.store().checkpoint();
     let accumulator = {
         let st = domain.refit_state().lock().expect("refit state");
         match domain.kind() {
@@ -324,47 +310,32 @@ fn capture_domain(domain: &Domain) -> DomainRec {
     DomainRec {
         name: domain.name().to_owned(),
         kind: domain.kind().as_str().to_owned(),
-        shards: store.num_shards(),
-        sources,
-        triples: log
-            .into_iter()
-            .map(
-                |LogRecord {
-                     entity,
-                     attr,
-                     source,
-                     value,
-                 }| TripleRec {
-                    entity,
-                    attr,
-                    source,
-                    value,
-                },
-            )
-            .collect(),
-        pending: Some(pending),
+        store,
         accumulator,
         epoch,
     }
 }
 
-/// Captures every domain's state as a v2 snapshot.
+/// Captures every domain's state as a v3 snapshot.
 pub fn capture(domains: &DomainSet) -> Snapshot {
     Snapshot {
-        version: 2,
+        version: VERSION,
         domains: domains.list().iter().map(|d| capture_domain(d)).collect(),
     }
 }
 
-/// Saves a snapshot of every domain as pretty JSON.
+/// Saves a snapshot of every domain as compact JSON.
 ///
-/// The write is atomic with respect to crashes: the JSON goes to a
-/// temporary file in the same directory which is then renamed over the
-/// target, so a kill mid-write can never leave a truncated snapshot (or
-/// clobber the previous good one) that would fail the next boot.
+/// The write is atomic and durable: the JSON goes to a temporary file in
+/// the same directory, which is fsync'd, renamed over the target, and the
+/// directory fsync'd in turn. A kill mid-write can never leave a
+/// truncated snapshot (or clobber the previous good one), and once `save`
+/// returns `Ok` the new snapshot survives a power loss — which WAL
+/// compaction relies on before it deletes the segments the snapshot
+/// covers.
 pub fn save(domains: &DomainSet, path: &Path) -> io::Result<()> {
     let snapshot = capture(domains);
-    let json = serde_json::to_string_pretty(&snapshot)
+    let json = serde_json::to_string(&snapshot)
         .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?;
     // Unique per call, not just per process: two workers saving the same
     // path concurrently (racing admin snapshots, or one racing the final
@@ -377,12 +348,24 @@ pub fn save(domains: &DomainSet, path: &Path) -> io::Result<()> {
     let tmp = std::path::PathBuf::from(tmp_name);
     // Both failure paths remove the temp file: each save mints a unique
     // name, so leaking it would accumulate litter across retries.
-    std::fs::write(&tmp, json).inspect_err(|_| {
-        let _ = std::fs::remove_file(&tmp);
-    })?;
-    std::fs::rename(&tmp, path).inspect_err(|_| {
-        let _ = std::fs::remove_file(&tmp);
-    })
+    let written = std::fs::File::create(&tmp).and_then(|mut file| {
+        file.write_all(json.as_bytes())?;
+        file.sync_all()
+    });
+    written
+        .and_then(|()| std::fs::rename(&tmp, path))
+        .inspect_err(|_| {
+            let _ = std::fs::remove_file(&tmp);
+        })?;
+    std::fs::File::open(parent_dir(path))?.sync_all()
+}
+
+/// The directory holding `path` (`.` for a bare file name).
+fn parent_dir(path: &Path) -> std::path::PathBuf {
+    match path.parent() {
+        Some(p) if !p.as_os_str().is_empty() => p.to_path_buf(),
+        _ => std::path::PathBuf::from("."),
+    }
 }
 
 /// Deletes stale `<snapshot>.tmp.*` temp files next to `path` — the
@@ -391,10 +374,7 @@ pub fn save(domains: &DomainSet, path: &Path) -> io::Result<()> {
 /// Returns how many were removed. Called at boot, before the first save
 /// can race anything. A missing parent directory counts as zero.
 pub fn clean_stale_temps(path: &Path) -> io::Result<usize> {
-    let parent = match path.parent() {
-        Some(p) if !p.as_os_str().is_empty() => p.to_path_buf(),
-        _ => std::path::PathBuf::from("."),
-    };
+    let parent = parent_dir(path);
     let Some(file_name) = path.file_name().and_then(|n| n.to_str()) else {
         return Ok(0);
     };
@@ -414,47 +394,23 @@ pub fn clean_stale_temps(path: &Path) -> io::Result<usize> {
     Ok(removed)
 }
 
-/// Loads a snapshot file, upgrading v1 single-domain files to a v2
-/// snapshot holding one boolean [`DEFAULT_DOMAIN`] record.
+/// Loads a snapshot file. Only format [`VERSION`] is accepted; any other
+/// version is an [`io::ErrorKind::InvalidData`] error naming it.
 pub fn load(path: &Path) -> io::Result<Snapshot> {
     let text = std::fs::read_to_string(path)?;
-    let invalid = |e: String| io::Error::new(io::ErrorKind::InvalidData, e);
-    let probe: serde::Value = serde_json::from_str(&text).map_err(|e| invalid(e.to_string()))?;
-    let version = match probe.get_field("version") {
-        Some(serde::Value::Int(v)) => *v,
-        Some(serde::Value::UInt(v)) => *v as i64,
-        _ => return Err(invalid("snapshot has no numeric `version` field".into())),
-    };
-    match version {
-        1 => {
-            let v1: SnapshotV1 = serde_json::from_str(&text).map_err(|e| invalid(e.to_string()))?;
-            Ok(Snapshot {
-                version: 2,
-                domains: vec![DomainRec {
-                    name: DEFAULT_DOMAIN.to_owned(),
-                    kind: ModelKind::Boolean.as_str().to_owned(),
-                    shards: v1.shards,
-                    sources: v1.sources,
-                    triples: v1.triples,
-                    pending: v1.pending,
-                    accumulator: v1.accumulator,
-                    epoch: v1.epoch,
-                }],
-            })
-        }
-        2 => serde_json::from_str(&text).map_err(|e| invalid(e.to_string())),
-        other => Err(invalid(format!("unsupported snapshot version {other}"))),
-    }
+    serde_json::from_str(&text)
+        .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))
 }
 
 /// Restores a snapshot into `domains`: each recorded domain is resolved
 /// by name — an existing domain must match the record's kind and shard
 /// count (its store must be empty, i.e. freshly booted); a missing one
 /// is created with the record's kind/shards and `config` and inserted.
-/// Per domain the record's log is replayed, the served epoch installed,
-/// and the refit accumulator resumed so the first post-restart refit is
-/// incremental. Restored-but-created domains do **not** have a daemon
-/// yet; the server spawns daemons for every domain after restore.
+/// Per domain the store is rebuilt from its checkpoint, the served epoch
+/// installed, and the refit accumulator resumed so the first
+/// post-restart refit is incremental. Restored-but-created domains do
+/// **not** have a daemon yet; the server spawns daemons for every domain
+/// after restore.
 pub fn restore(snapshot: &Snapshot, domains: &DomainSet, config: &RefitConfig) -> io::Result<()> {
     let invalid = |e: String| io::Error::new(io::ErrorKind::InvalidData, e);
     for rec in &snapshot.domains {
@@ -475,7 +431,13 @@ pub fn restore(snapshot: &Snapshot, domains: &DomainSet, config: &RefitConfig) -
                 existing
             }
             None => {
-                let created = Domain::new(&rec.name, kind, rec.shards, config);
+                if rec.store.shards.is_empty() {
+                    return Err(invalid(format!(
+                        "snapshot domain `{}` has no shards",
+                        rec.name
+                    )));
+                }
+                let created = Domain::new(&rec.name, kind, rec.store.shards.len(), config);
                 domains
                     .insert(Arc::clone(&created))
                     .map_err(|e| invalid(e.to_string()))?;
@@ -494,16 +456,6 @@ fn restore_domain(
     config: &RefitConfig,
 ) -> io::Result<()> {
     let invalid = |e: String| io::Error::new(io::ErrorKind::InvalidData, e);
-    let store: &ShardedStore = domain.store();
-    if store.num_shards() != rec.shards {
-        return Err(invalid(format!(
-            "snapshot domain `{}` was taken with {} shards but the store has {} — fact ids \
-             would not survive the replay",
-            rec.name,
-            rec.shards,
-            store.num_shards()
-        )));
-    }
     let cells_per_source = match kind {
         ModelKind::Boolean | ModelKind::PositiveOnly => 4,
         ModelKind::RealValued => 6,
@@ -518,45 +470,37 @@ fn restore_domain(
             )));
         }
     }
-    for t in &rec.triples {
-        store.replay(&LogRecord {
-            entity: t.entity.clone(),
-            attr: t.attr.clone(),
-            source: t.source.clone(),
-            value: t.value,
-        });
-    }
-    // Only the rows a refit had folded by save time are marked consumed;
-    // the saved `pending` tail was never seen by the saved epoch and must
-    // still arm the refit trigger after restart — otherwise served
-    // predictions silently exclude data the store visibly holds until
-    // some future ingest re-arms the trigger. Pre-watermark snapshots
-    // (`pending` absent) fall back to the old treat-all-as-folded reading.
-    // A capture that raced a refit can leave the accumulator watermark
-    // ahead of the log's folded count; trust the larger of the two (the
-    // accumulator provably folded through its watermark).
-    let pending = rec.pending.unwrap_or(0);
-    let mut folded = rec.triples.len().saturating_sub(pending) as u64;
+    let store = domain.store();
+    store
+        .restore(&rec.store)
+        .map_err(|e| invalid(format!("snapshot domain `{}`: {e}", rec.name)))?;
     if let Some(acc) = &rec.accumulator {
         // A capture that raced a refit can legally pair an accumulator
-        // slightly *newer* than the saved log: a fold that committed
-        // between the store read and the state read may cover rows (and
-        // even a source) the log never saw. Both mismatches are repaired
-        // here rather than rejected — rejecting would make the server
-        // unable to boot from its own legitimately-saved snapshot:
+        // slightly *newer* than the saved checkpoint: a fold that
+        // committed between the store read and the state read may cover
+        // rows (and even a source) the checkpoint never saw. Both
+        // mismatches are repaired here rather than rejected — rejecting
+        // would make the server unable to boot from its own
+        // legitimately-saved snapshot:
         //
-        // * the watermark is clamped to the log, so the rows the log is
-        //   missing are simply not marked folded, and
-        // * cells for sources beyond the log's id space are dropped
-        //   (their triples are not in the log either — the source was
-        //   interned after the log copy was taken), keeping every
-        //   remaining cell attributed to the id the replayed store
+        // * the watermark is clamped to the checkpoint's sequence, so the
+        //   rows it is missing are simply not marked folded, and
+        // * cells for sources beyond the checkpoint's id space are
+        //   dropped (the source was interned after the checkpoint was
+        //   taken; its rows come back through WAL replay), keeping every
+        //   remaining cell attributed to the id the restored store
         //   assigns. The shed contribution is drift-sized and the next
         //   full refit reconciles it exactly.
-        let watermark = acc.watermark.min(rec.triples.len() as u64);
+        //
+        // The checkpoint's pending tail is trusted unless the
+        // accumulator provably folded further.
+        let watermark = acc.watermark.min(rec.store.seq);
+        let folded = rec.store.seq - rec.store.pending as u64;
+        store.consume_pending(
+            usize::try_from(watermark.saturating_sub(folded)).unwrap_or(usize::MAX),
+        );
         let mut cells = acc.cells.clone();
-        cells.truncate(rec.sources.len() * cells_per_source);
-        folded = folded.max(watermark);
+        cells.truncate(rec.store.sources.len() * cells_per_source);
         let mut st = domain.refit_state().lock().expect("refit state");
         match kind {
             ModelKind::Boolean | ModelKind::PositiveOnly => st.restore(
@@ -576,14 +520,6 @@ fn restore_domain(
                 watermark,
             ),
         }
-    }
-    store.consume_pending(usize::try_from(folded).unwrap_or(usize::MAX));
-    if store.source_names() != rec.sources {
-        return Err(invalid(format!(
-            "domain `{}`: replay produced a different source-id assignment than the \
-             snapshot records",
-            rec.name
-        )));
     }
     if let Some(e) = &rec.epoch {
         let predictor = match kind {
@@ -645,6 +581,7 @@ fn restore_domain(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::domain::DEFAULT_DOMAIN;
     use ltm_model::SourceId;
 
     fn temp_path(name: &str) -> std::path::PathBuf {
@@ -690,7 +627,7 @@ mod tests {
         let loaded = load(&path).unwrap();
         std::fs::remove_file(&path).ok();
         assert_eq!(loaded, capture(&set));
-        assert_eq!(loaded.version, 2);
+        assert_eq!(loaded.version, VERSION);
 
         let set2 = boolean_set(3);
         restore(&loaded, &set2, &RefitConfig::default()).unwrap();
@@ -752,8 +689,16 @@ mod tests {
         std::fs::remove_file(&path).ok();
         let rec = loaded.domain("scores").expect("real domain saved");
         assert_eq!(rec.kind, "real_valued");
-        assert_eq!(rec.triples[0].value, Some(0.92));
-        assert_eq!(rec.pending, Some(1));
+        let values: Vec<f64> = rec
+            .store
+            .shards
+            .iter()
+            .flat_map(|s| &s.facts)
+            .flat_map(|f| f.values.iter().map(|&(_, v)| v))
+            .collect();
+        assert_eq!(values.len(), 4);
+        assert!(values.contains(&0.92), "{values:?}");
+        assert_eq!(rec.store.pending, 1);
         assert_eq!(rec.accumulator.as_ref().unwrap().cells, cells_before);
 
         // Restore into a fresh set that does NOT pre-configure `scores`:
@@ -779,115 +724,6 @@ mod tests {
     }
 
     #[test]
-    fn v1_snapshot_upgrades_to_default_boolean_domain() {
-        // A pre-multi-model snapshot (version 1, no `domains` array, no
-        // per-triple values) must load as a v2 snapshot with one boolean
-        // `default` domain and restore with identical ids and pending.
-        let path = temp_path("v1-upgrade.json");
-        std::fs::write(
-            &path,
-            "{\"version\":1,\"shards\":2,\"sources\":[\"s0\",\"s1\"],\
-             \"triples\":[{\"entity\":\"e0\",\"attr\":\"a0\",\"source\":\"s0\"},\
-                          {\"entity\":\"e0\",\"attr\":\"a1\",\"source\":\"s1\"},\
-                          {\"entity\":\"e1\",\"attr\":\"a0\",\"source\":\"s0\"}],\
-             \"pending\":1,\
-             \"accumulator\":{\"cells\":[1.0,0.0,0.5,0.5,0.0,1.0,0.25,0.75],\
-                              \"batches_seen\":1,\"watermark\":2},\
-             \"epoch\":{\"epoch\":3,\"phi1\":[0.9,0.4],\"phi0\":[0.05,0.3],\
-                        \"beta_pos\":2.0,\"beta_neg\":3.0,\
-                        \"default_phi1\":0.5,\"default_phi0\":0.1,\
-                        \"max_rhat\":1.05,\"converged_fraction\":1.0,\
-                        \"trained_claims\":4,\"trained_sources\":2}}",
-        )
-        .unwrap();
-        let snapshot = load(&path).unwrap();
-        std::fs::remove_file(&path).ok();
-        assert_eq!(snapshot.version, 2);
-        assert_eq!(snapshot.domains.len(), 1);
-        let rec = snapshot.domain(DEFAULT_DOMAIN).unwrap();
-        assert_eq!(rec.kind, "boolean");
-        assert_eq!(rec.pending, Some(1));
-        assert!(rec.triples.iter().all(|t| t.value.is_none()));
-        assert!(rec.epoch.as_ref().unwrap().real.is_none());
-
-        let set = boolean_set(2);
-        restore(&snapshot, &set, &RefitConfig::default()).unwrap();
-        let domain = set.default_domain();
-        assert_eq!(domain.store().stats().facts, 3);
-        assert_eq!(domain.store().pending(), 1);
-        assert_eq!(domain.predictor().load().epoch, 3);
-        let st = domain.refit_state().lock().unwrap();
-        assert_eq!(st.watermark(), 2);
-        assert!(st.streaming().is_some());
-        drop(st);
-
-        // Equation-3 on the restored parameters is reproducible from the
-        // raw φ tables — the bit-identity assertion of the migration.
-        let expected = IncrementalLtm::from_parts(
-            vec![0.9, 0.4],
-            vec![0.05, 0.3],
-            BetaPair::new(2.0, 3.0),
-            0.5,
-            0.1,
-        );
-        let claims = [(SourceId::new(0), true), (SourceId::new(1), false)];
-        assert_eq!(
-            domain.predictor().load().predictor.predict_fact(&claims),
-            expected.predict_fact(&claims)
-        );
-
-        // Re-saving writes format v2; reloading restores identically.
-        let path2 = temp_path("v1-resaved.json");
-        save(&set, &path2).unwrap();
-        let resaved = load(&path2).unwrap();
-        std::fs::remove_file(&path2).ok();
-        assert_eq!(resaved.version, 2);
-        let set3 = boolean_set(2);
-        restore(&resaved, &set3, &RefitConfig::default()).unwrap();
-        assert_eq!(
-            set3.default_domain()
-                .predictor()
-                .load()
-                .predictor
-                .predict_fact(&claims),
-            expected.predict_fact(&claims),
-            "v1 → v2 → v2 restores stay bit-identical"
-        );
-    }
-
-    #[test]
-    fn pre_watermark_v1_snapshots_load_as_fully_folded() {
-        // The oldest v1 layout predates the `pending` and `accumulator`
-        // fields entirely; the upgrade path must treat the whole log as
-        // folded (no accumulator to resume → the next refit is cold).
-        let path = temp_path("v1-no-pending.json");
-        std::fs::write(
-            &path,
-            "{\"version\":1,\"shards\":1,\"sources\":[\"s\"],\
-             \"triples\":[{\"entity\":\"e\",\"attr\":\"a\",\"source\":\"s\"}],\
-             \"epoch\":null}",
-        )
-        .unwrap();
-        let snapshot = load(&path).unwrap();
-        std::fs::remove_file(&path).ok();
-        let rec = snapshot.domain(DEFAULT_DOMAIN).unwrap();
-        assert_eq!(rec.pending, None);
-        assert_eq!(rec.accumulator, None);
-        let set = boolean_set(1);
-        restore(&snapshot, &set, &RefitConfig::default()).unwrap();
-        let domain = set.default_domain();
-        assert_eq!(
-            domain.store().pending(),
-            0,
-            "old snapshots treat the log as folded"
-        );
-        assert!(
-            domain.refit_state().lock().unwrap().streaming().is_none(),
-            "no accumulator to resume: the next refit is a cold one"
-        );
-    }
-
-    #[test]
     fn restore_trusts_the_newer_of_pending_and_accumulator_watermark() {
         // A capture racing a refit can pair an older log view (pending
         // still unconsumed) with a newer accumulator; restore must trust
@@ -898,7 +734,7 @@ mod tests {
         store.ingest("e0", "a0", "s0");
         store.ingest("e1", "a0", "s0");
         let mut snapshot = capture(&set);
-        assert_eq!(snapshot.domains[0].pending, Some(2));
+        assert_eq!(snapshot.domains[0].store.pending, 2);
         snapshot.domains[0].accumulator = Some(AccumulatorRec {
             cells: vec![0.0; 4],
             batches_seen: 1,
@@ -931,7 +767,7 @@ mod tests {
         assert_eq!(store.pending(), 2);
 
         let snapshot = capture(&set);
-        assert_eq!(snapshot.domains[0].pending, Some(2));
+        assert_eq!(snapshot.domains[0].store.pending, 2);
         let set2 = boolean_set(2);
         restore(&snapshot, &set2, &RefitConfig::default()).unwrap();
         assert_eq!(
@@ -956,17 +792,17 @@ mod tests {
     }
 
     #[test]
-    fn restore_repairs_an_accumulator_newer_than_the_log() {
+    fn restore_repairs_an_accumulator_newer_than_the_checkpoint() {
         // A capture racing a refit can save an accumulator whose
-        // watermark exceeds the log and whose cells cover a source the
-        // log never interned. Restore must repair (clamp + truncate),
+        // watermark exceeds the checkpoint and whose cells cover a source
+        // it never interned. Restore must repair (clamp + truncate),
         // not reject — the snapshot was legitimately saved, and a boot
         // failure would strand the server until an operator deletes it.
         let set = boolean_set(1);
         set.default_domain().store().ingest("e", "a", "s");
         let mut snapshot = capture(&set);
         snapshot.domains[0].accumulator = Some(AccumulatorRec {
-            // Two sources' cells, but the log only interns one.
+            // Two sources' cells, but the checkpoint only interns one.
             cells: vec![1.0; 8],
             batches_seen: 3,
             watermark: 99,
@@ -975,7 +811,7 @@ mod tests {
         restore(&snapshot, &set2, &RefitConfig::default()).unwrap();
         let domain2 = set2.default_domain();
         let st = domain2.refit_state().lock().unwrap();
-        assert_eq!(st.watermark(), 1, "watermark clamped to the log length");
+        assert_eq!(st.watermark(), 1, "watermark clamped to the checkpoint");
         let resumed = st.streaming().unwrap();
         assert_eq!(
             resumed.accumulated().num_sources(),
@@ -1093,11 +929,43 @@ mod tests {
     }
 
     #[test]
-    fn load_rejects_future_versions() {
+    fn load_refuses_every_other_version_by_name() {
         let path = temp_path("version.json");
-        std::fs::write(&path, "{\"version\":9,\"domains\":[]}").unwrap();
-        let err = load(&path).unwrap_err();
+        for (text, want) in [
+            ("{\"version\":9,\"domains\":[]}", "version 9"),
+            ("{\"domains\":[]}", "no integer `version`"),
+        ] {
+            std::fs::write(&path, text).unwrap();
+            let err = load(&path).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+            assert!(err.to_string().contains(want), "{err}");
+        }
         std::fs::remove_file(&path).ok();
-        assert!(err.to_string().contains("version"), "{err}");
+    }
+
+    #[test]
+    fn save_writes_compact_json() {
+        let set = boolean_set(1);
+        set.default_domain().store().ingest("e", "a", "s");
+        let path = temp_path("compact.json");
+        save(&set, &path).unwrap();
+        let text = std::fs::read_to_string(&path).unwrap();
+        std::fs::remove_file(&path).ok();
+        assert!(text.starts_with("{\"version\":3,"), "{text}");
+        assert!(!text.contains('\n'), "{text}");
+    }
+
+    #[test]
+    fn restore_rejects_a_corrupt_checkpoint_without_panicking() {
+        let set = boolean_set(1);
+        set.default_domain().store().ingest("e", "a", "s");
+        let mut snapshot = capture(&set);
+        snapshot.domains[0].store.shards[0].facts[0].sources = vec![7];
+        let err = restore(&snapshot, &boolean_set(1), &RefitConfig::default()).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert!(err.to_string().contains("source id 7"), "{err}");
+        snapshot.domains[0].store.shards.clear();
+        let err = restore(&snapshot, &DomainSet::new(), &RefitConfig::default()).unwrap_err();
+        assert!(err.to_string().contains("no shards"), "{err}");
     }
 }

@@ -8,22 +8,29 @@
 //! asserted at least one triple about it, and that coverage is never
 //! split across shards.
 //!
-//! Each shard is an append log of deduplicated rows plus incrementally
-//! maintained coverage indexes; [`ShardedStore::full_databases`] rebuilds
-//! each shard's CSR [`ClaimDb`] from the log when the refit daemon asks
-//! for it, and [`ShardedStore::shard_databases_since`] extracts only the
-//! **delta** — facts touched since a fold watermark — so an incremental
-//! refit costs `O(Δ)` instead of `O(store)`. **Source ids are global** —
-//! interned once in [`ShardedStore`]-level state — because source quality
-//! is the cross-shard signal the whole model exists to learn; every shard
+//! Each shard is a deduplicated row set plus incrementally maintained
+//! coverage indexes; [`ShardedStore::full_databases`] rebuilds each
+//! shard's CSR [`ClaimDb`] when the refit daemon asks for it, and
+//! [`ShardedStore::shard_databases_since`] extracts only the **delta** —
+//! facts touched since a fold watermark — so an incremental refit costs
+//! `O(Δ)` instead of `O(store)`. **Source ids are global** — interned
+//! once in [`ShardedStore`]-level state — because source quality is the
+//! cross-shard signal the whole model exists to learn; every shard
 //! database is emitted over the full global source-id space so their
 //! expected counts can be folded into one accumulator.
 //!
+//! The store keeps no copy of the rows it accepted: the write-ahead log
+//! ([`crate::wal`]) is the only row-level log. Persistence instead takes
+//! a [`StoreCheckpoint`] of the derived state at one accepted sequence
+//! ([`ShardedStore::checkpoint`]) and rebuilds the indexes from it
+//! ([`ShardedStore::restore`]); WAL replay then applies the rows past
+//! that sequence through [`ShardedStore::replay`].
+//!
 //! Delta tracking: every accepted triple gets a monotonically increasing
-//! sequence number (its 1-based position in the replay log, so replaying
-//! a snapshot reproduces the numbering exactly), and each shard keeps a
-//! dirty map from local fact id to the last sequence that changed the
-//! fact's Definition-3 claim row. Two kinds of ingest dirty a fact:
+//! sequence number (its 1-based position in accepted order, which is also
+//! its position in the WAL), and each shard keeps a dirty map from local
+//! fact id to the last sequence that changed the fact's Definition-3
+//! claim row. Two kinds of ingest dirty a fact:
 //!
 //! * a triple asserting the fact itself (a negative row flips positive,
 //!   or a brand-new fact appears), and
@@ -32,34 +39,39 @@
 //!   that entity, so they are all marked dirty even though their own
 //!   triples are old.
 //!
-//! Lock discipline: the replay `log` (Mutex) is the outermost **ingest-
-//! order lock** — ingest holds it from before any id is minted until the
-//! log entry is appended, then `sources` (RwLock), the shard (Mutex), and
-//! the fact `registry` (RwLock) nest inside it in that order. Holding the
-//! log across the whole ingest is what makes id minting and log append
-//! one atomic step: without it, two racing ingests on different shards
-//! could mint source/fact ids in one order and append log entries in the
-//! other, and a snapshot replay (which is sequential) would then assign
-//! different ids than the live server handed out. Readers that need the
-//! registry copy the entry out and release it *before* touching a shard,
-//! so no lock cycle exists.
+//! Lock discipline: `ingest` (a Mutex over the accepted sequence) is the
+//! outermost **ingest-order lock** — ingest holds it from before any id
+//! is minted until the row's sequence is assigned (and, for batches,
+//! until the WAL record is written), then `sources` (RwLock), the shard
+//! (Mutex), and the fact `registry` (RwLock) nest inside it in that
+//! order. Holding it across the whole ingest makes id minting and
+//! sequence assignment one atomic step: without it, two racing ingests
+//! on different shards could mint source/fact ids in one order and
+//! journal their rows in the other, and a WAL replay (which is
+//! sequential) would then assign different ids than the live server
+//! handed out. A checkpoint holds it too, so it sees no half-applied
+//! ingest. Readers that need the registry copy the entry out and
+//! release it *before* touching a shard, so no lock cycle exists.
 
 use std::collections::hash_map::DefaultHasher;
 use std::collections::{HashMap, HashSet};
 use std::hash::{Hash, Hasher};
+use std::io;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Mutex, RwLock};
 
 use ltm_core::{RealClaim, RealClaimDb};
 use ltm_model::interner::Interner;
 use ltm_model::{AttrId, Claim, ClaimDb, EntityId, Fact, FactId, SourceId};
+use serde::{Deserialize, Serialize};
 
 use crate::sync::{LockExt, RwLockExt};
 
-/// One accepted row of the replay log: the triple plus the optional real
-/// value carried by valued ([`crate::model::ModelKind::RealValued`])
-/// domains. Replaying the log through a fresh store with the same shard
-/// count reproduces every id assignment.
+/// One ingest row — the row type of [`ShardedStore::ingest_batch`] and of
+/// the WAL: the triple plus the optional real value carried by valued
+/// ([`crate::model::ModelKind::RealValued`]) domains. Replaying accepted
+/// rows in sequence order through a store restored from a checkpoint
+/// reproduces every id assignment.
 #[derive(Debug, Clone, PartialEq)]
 pub struct LogRecord {
     /// Entity name.
@@ -205,7 +217,55 @@ pub type StoreDelta = StoreDeltaOf<ClaimDb>;
 /// Valued extraction ([`RealClaimDb`] batches).
 pub type RealStoreDelta = StoreDeltaOf<RealClaimDb>;
 
-/// One shard: a deduplicated row log with coverage indexes.
+/// The store's state at one accepted sequence: what a snapshot persists
+/// in place of the rows themselves. It records only what ingest cannot
+/// derive — names, id assignments, asserted rows, values, and the dirty
+/// maps; [`ShardedStore::restore`] rebuilds the interners, coverage,
+/// per-entity fact lists, fact index, registry, and claim counters.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+pub struct StoreCheckpoint {
+    /// Global source names in id order.
+    pub sources: Vec<String>,
+    /// One record per shard, in shard order (its length is the shard
+    /// count the fact ids were minted under).
+    pub shards: Vec<ShardCheckpoint>,
+    /// Accepted-row sequence the checkpoint covers: WAL replay resumes
+    /// at `seq + 1`.
+    pub seq: u64,
+    /// Accepted rows no refit had consumed at capture time.
+    pub pending: usize,
+}
+
+/// One shard of a [`StoreCheckpoint`].
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+pub struct ShardCheckpoint {
+    /// The shard's facts in local-id order (first-accepted order, which
+    /// is also the order its entity and attribute names were interned).
+    pub facts: Vec<FactCheckpoint>,
+    /// The dirty map as `(local fact id, sequence)`, ascending fact id.
+    pub dirty: Vec<(u32, u64)>,
+}
+
+/// One fact of a [`ShardCheckpoint`].
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+pub struct FactCheckpoint {
+    /// Entity name.
+    pub entity: String,
+    /// Attribute name.
+    pub attr: String,
+    /// Global fact id.
+    pub id: u64,
+    /// Global ids of the sources asserting the fact, ascending.
+    pub sources: Vec<u32>,
+    /// `(source, value)` for each asserted row that carries a value.
+    pub values: Vec<(u32, f64)>,
+}
+
+fn invalid(msg: String) -> io::Error {
+    io::Error::new(io::ErrorKind::InvalidData, msg)
+}
+
+/// One shard: a deduplicated row set with coverage indexes.
 #[derive(Debug, Default)]
 struct Shard {
     entities: Interner<EntityId>,
@@ -237,6 +297,36 @@ struct Shard {
 }
 
 impl Shard {
+    /// The shard's part of a [`StoreCheckpoint`].
+    fn checkpoint(&self) -> ShardCheckpoint {
+        let facts = self
+            .facts
+            .iter()
+            .map(|&(e, a, id)| {
+                // analyzer: allow(panic-index) -- cover is grown to every interned entity on ingest
+                let sources: Vec<u32> = self.cover[e as usize]
+                    .iter()
+                    .copied()
+                    .filter(|&s| self.rows.contains(&(e, a, s)))
+                    .collect();
+                let values = sources
+                    .iter()
+                    .filter_map(|&s| self.values.get(&(e, a, s)).map(|&v| (s, v)))
+                    .collect();
+                FactCheckpoint {
+                    entity: self.entities.resolve(EntityId::new(e)).to_owned(),
+                    attr: self.attrs.resolve(AttrId::new(a)).to_owned(),
+                    id,
+                    sources,
+                    values,
+                }
+            })
+            .collect();
+        let mut dirty: Vec<(u32, u64)> = self.dirty.iter().map(|(&f, &seq)| (f, seq)).collect();
+        dirty.sort_unstable();
+        ShardCheckpoint { facts, dirty }
+    }
+
     /// Claims of local fact `f` per Definition 3, ascending source id.
     fn claims_of(&self, f: u32) -> Vec<(SourceId, bool)> {
         // analyzer: allow(panic-index) -- f is a local fact id minted by this shard
@@ -396,16 +486,14 @@ pub struct ShardedStore {
     shards: Vec<Mutex<Shard>>,
     sources: RwLock<Interner<SourceId>>,
     registry: RwLock<Vec<FactLocation>>,
-    /// Accepted rows in arrival order — replaying this log through a
-    /// fresh store with the same shard count reproduces every id
-    /// assignment (the snapshot-restore invariant). Doubles as the
-    /// ingest-order lock: see the module docs.
-    log: Mutex<Vec<LogRecord>>,
+    /// The accepted-row sequence; its mutex is the ingest-order lock
+    /// (see the module docs).
+    ingest: Mutex<u64>,
     pending: AtomicUsize,
-    /// Mirror of `log.len()` maintained under the ingest-order lock, so
+    /// Mirror of `ingest` maintained under the ingest-order lock, so
     /// extraction paths holding shard locks can read the accepted-row
-    /// sequence without touching the log mutex (shard → log would invert
-    /// the ingest lock order and deadlock).
+    /// sequence without taking the ingest mutex (shard → ingest would
+    /// invert the lock order and deadlock).
     seq: AtomicU64,
     /// Lifetime count of rows rejected as exact duplicates, feeding the
     /// ingest dedup-rate in `/stats` and `/metrics`.
@@ -424,7 +512,7 @@ impl ShardedStore {
             shards: (0..shards).map(|_| Mutex::new(Shard::default())).collect(),
             sources: RwLock::new(Interner::new()),
             registry: RwLock::new(Vec::new()),
-            log: Mutex::new(Vec::new()),
+            ingest: Mutex::new(0),
             pending: AtomicUsize::new(0),
             seq: AtomicU64::new(0),
             duplicate_rows: AtomicU64::new(0),
@@ -489,9 +577,9 @@ impl ShardedStore {
         self.ingest_record(entity, attr, source, Some(value))
     }
 
-    /// Replays one log record (snapshot restore and WAL replay).
-    pub fn replay(&self, record: &LogRecord) -> IngestOutcome {
-        self.ingest_record(&record.entity, &record.attr, &record.source, record.value)
+    /// Replays one WAL row (boot-time recovery past the checkpoint).
+    pub fn replay(&self, row: &LogRecord) -> IngestOutcome {
+        self.ingest_record(&row.entity, &row.attr, &row.source, row.value)
     }
 
     /// Ingests a batch of rows under **one** acquisition of the
@@ -522,22 +610,23 @@ impl ShardedStore {
         rows: &[LogRecord],
         journal: Option<JournalFn<'_>>,
     ) -> std::io::Result<BatchOutcome> {
-        let mut log = self.log.locked();
+        let mut seq = self.ingest.locked();
         let mut out = BatchOutcome {
-            first_seq: log.len() as u64 + 1,
+            first_seq: *seq + 1,
             ..BatchOutcome::default()
         };
-        let mut accepted = Vec::with_capacity(rows.len());
+        let mut accepted = Vec::new();
         for row in rows {
-            match self.ingest_locked(&mut log, row.clone()) {
+            let outcome =
+                self.ingest_locked(&mut seq, &row.entity, &row.attr, &row.source, row.value);
+            match outcome {
                 IngestOutcome::Duplicate(_) => out.duplicates += 1,
-                IngestOutcome::NewFact(_) => {
-                    out.new_facts += 1;
-                    out.accepted += 1;
-                    accepted.push(row.clone());
-                }
-                IngestOutcome::NewRow(_) => {
-                    out.accepted += 1;
+                IngestOutcome::NewFact(_) => out.new_facts += 1,
+                IngestOutcome::NewRow(_) => {}
+            }
+            if outcome.accepted() {
+                out.accepted += 1;
+                if journal.is_some() {
                     accepted.push(row.clone());
                 }
             }
@@ -557,29 +646,27 @@ impl ShardedStore {
         source: &str,
         value: Option<f64>,
     ) -> IngestOutcome {
-        // Built before the lock: the allocations don't need serialising,
-        // only id minting and the append do.
-        let entry = LogRecord {
-            entity: entity.to_owned(),
-            attr: attr.to_owned(),
-            source: source.to_owned(),
-            value,
-        };
-        // Ingest-order lock: held across id minting AND the log append so
-        // replay order can never disagree with id-assignment order (the
-        // snapshot-restore invariant). Serialises ingest; reads and refit
+        // Ingest-order lock: held across id minting AND sequence
+        // assignment so replay order can never disagree with
+        // id-assignment order. Serialises ingest; reads and refit
         // rebuilds never take it.
-        let mut log = self.log.locked();
-        self.ingest_locked(&mut log, entry)
+        let mut seq = self.ingest.locked();
+        self.ingest_locked(&mut seq, entity, attr, source, value)
     }
 
-    /// The ingest body, with the ingest-order lock already held by the
-    /// caller (single-row ingest takes it per row; [`Self::ingest_batch`]
-    /// holds it across a whole batch so the batch's accepted rows get
-    /// contiguous sequence numbers and can be journaled as one record).
-    fn ingest_locked(&self, log: &mut Vec<LogRecord>, entry: LogRecord) -> IngestOutcome {
-        let (entity, attr, source, value) =
-            (&entry.entity, &entry.attr, &entry.source, entry.value);
+    /// The ingest body, with the ingest-order lock (guarding `accepted`,
+    /// the accepted-row sequence) already held by the caller: single-row
+    /// ingest takes it per row; [`Self::ingest_batch`] holds it across a
+    /// whole batch so the batch's accepted rows get contiguous sequence
+    /// numbers and can be journaled as one record.
+    fn ingest_locked(
+        &self,
+        accepted: &mut u64,
+        entity: &str,
+        attr: &str,
+        source: &str,
+        value: Option<f64>,
+    ) -> IngestOutcome {
         let s = self.intern_source(source).raw();
         let shard_idx = self.shard_of(entity);
         // analyzer: allow(panic-index) -- shard_of reduces the hash modulo shards.len()
@@ -642,11 +729,11 @@ impl ShardedStore {
         };
 
         // Dirty marking for delta refits. The sequence is this row's
-        // 1-based replay-log position (stable under snapshot replay). A
+        // 1-based position in accepted (and WAL) order. A
         // source newly covering the entity retroactively adds a
         // Definition-3 negative row to every fact of the entity, so they
         // are all dirtied; otherwise only the asserted fact changed.
-        let seq = log.len() as u64 + 1;
+        let seq = *accepted + 1;
         let sh = &mut *shard;
         if newly_covering {
             // analyzer: allow(panic-index) -- entity_facts is grown in lockstep with cover
@@ -657,7 +744,7 @@ impl ShardedStore {
             sh.dirty.insert(local, seq);
         }
 
-        log.push(entry);
+        *accepted = seq;
         // Published while the ingest-order and shard locks are still
         // held: a reader that acquires this shard's lock afterwards sees
         // every mutation numbered at or below the sequence it reads.
@@ -718,7 +805,7 @@ impl ShardedStore {
     }
 
     /// Accepted-row sequence: the number of triples accepted so far
-    /// (equal to the replay-log length, maintained without the log lock).
+    /// (read without the ingest-order lock).
     pub fn accepted_seq(&self) -> u64 {
         self.seq.load(Ordering::Acquire)
     }
@@ -925,21 +1012,131 @@ impl ShardedStore {
         }
     }
 
-    /// The accepted-row log in arrival order (for snapshots).
-    pub fn log_snapshot(&self) -> Vec<LogRecord> {
-        self.log.locked().clone()
+    /// Captures a [`StoreCheckpoint`] under the ingest-order lock, one
+    /// shard lock at a time: no ingest can interleave, so the sources,
+    /// every shard, the sequence, and the pending count describe one
+    /// accepted sequence, while reads and extractions of the other
+    /// shards proceed.
+    pub fn checkpoint(&self) -> StoreCheckpoint {
+        let seq = self.ingest.locked();
+        let sources = self.source_names();
+        let shards = self
+            .shards
+            .iter()
+            .map(|s| s.locked().checkpoint())
+            .collect();
+        StoreCheckpoint {
+            sources,
+            shards,
+            seq: *seq,
+            pending: self.pending(),
+        }
     }
 
-    /// One consistent persistence view: `(source names in id order,
-    /// accepted-row log, pending count)`, all read under the
-    /// ingest-order lock so no concurrent ingest can interleave between
-    /// them. Reading these piecemeal would let a racing ingest mint a
-    /// source that appears in the log copy but not the sources copy —
-    /// and that snapshot fails its own restore validation at the next
-    /// boot.
-    pub fn persistence_snapshot(&self) -> (Vec<String>, Vec<LogRecord>, usize) {
-        let log = self.log.locked();
-        (self.source_names(), log.clone(), self.pending())
+    /// Rebuilds an empty store from a checkpoint by re-ingesting its
+    /// rows fact by fact in global-id order — the order ingest minted the
+    /// ids in — so the interners, coverage, fact index, registry, and
+    /// claim counters come from the same code that built them live; the
+    /// dirty maps, sequence, and pending count are then set from the
+    /// checkpoint. Every name and id in `cp` is checked as outside input,
+    /// and a bad one is an [`io::ErrorKind::InvalidData`] error (the store
+    /// is then partly filled and must be dropped).
+    pub fn restore(&self, cp: &StoreCheckpoint) -> io::Result<()> {
+        let mut seq = self.ingest.locked();
+        if *seq != 0 {
+            return Err(invalid(format!(
+                "cannot restore a checkpoint into a store that holds {} rows",
+                *seq
+            )));
+        }
+        if cp.shards.len() != self.shards.len() {
+            return Err(invalid(format!(
+                "checkpoint has {} shards but the store has {} — fact ids would not survive",
+                cp.shards.len(),
+                self.shards.len()
+            )));
+        }
+        for (i, name) in cp.sources.iter().enumerate() {
+            if self.intern_source(name).index() != i {
+                return Err(invalid(format!("source {name:?} is listed twice")));
+            }
+        }
+        let mut facts: Vec<(usize, usize, &FactCheckpoint)> = cp
+            .shards
+            .iter()
+            .enumerate()
+            .flat_map(|(shard, rec)| {
+                rec.facts
+                    .iter()
+                    .enumerate()
+                    .map(move |(l, f)| (shard, l, f))
+            })
+            .collect();
+        facts.sort_unstable_by_key(|&(_, _, f)| f.id);
+        for (id, &(shard, local, f)) in (0u64..).zip(&facts) {
+            let bad = |why: &str| invalid(format!("fact {} (entity {:?}): {why}", f.id, f.entity));
+            if f.id != id || f.sources.is_empty() {
+                return Err(bad(
+                    "fact ids must run 0.. without gaps, each fact asserted",
+                ));
+            }
+            if f.values.iter().any(|&(_, v)| !v.is_finite()) {
+                return Err(bad("a value is not finite"));
+            }
+            let mut valued = 0;
+            for (i, &s) in f.sources.iter().enumerate() {
+                let source = cp
+                    .sources
+                    .get(s as usize)
+                    .ok_or_else(|| bad(&format!("source id {s} is out of range")))?;
+                let value = f.values.iter().find(|&&(vs, _)| vs == s).map(|&(_, v)| v);
+                valued += usize::from(value.is_some());
+                let want = if i == 0 {
+                    IngestOutcome::NewFact(id)
+                } else {
+                    IngestOutcome::NewRow(id)
+                };
+                if self.ingest_locked(&mut seq, &f.entity, &f.attr, source, value) != want {
+                    return Err(bad("it repeats an earlier fact or one of its own sources"));
+                }
+            }
+            if valued != f.values.len() {
+                return Err(bad(
+                    "a value names a source twice, or one not asserting the fact",
+                ));
+            }
+            let at = self.registry.read_locked().get(id as usize).copied();
+            if at.map(|l| (l.shard, l.local as usize)) != Some((shard, local)) {
+                return Err(bad(&format!(
+                    "it is listed as local fact {local} of shard {shard}, but ingest places \
+                     it at {at:?}"
+                )));
+            }
+        }
+        if *seq != cp.seq || cp.pending as u64 > cp.seq {
+            return Err(invalid(format!(
+                "checkpoint at sequence {} holds {} rows with {} pending",
+                cp.seq, *seq, cp.pending
+            )));
+        }
+        for (shard, rec) in self.shards.iter().zip(&cp.shards) {
+            let mut shard = shard.locked();
+            shard.dirty.clear();
+            for &(f, at) in &rec.dirty {
+                if f as usize >= shard.facts.len()
+                    || !(1..=cp.seq).contains(&at)
+                    || shard.dirty.insert(f, at).is_some()
+                {
+                    return Err(invalid(format!(
+                        "dirty entry ({f}, {at}) names no fact, repeats one, or lies outside \
+                         sequence 1..={}",
+                        cp.seq
+                    )));
+                }
+            }
+        }
+        self.pending.store(cp.pending, Ordering::Relaxed);
+        Ok(())
     }
 
     /// Number of shards.
@@ -1017,105 +1214,247 @@ mod tests {
         assert!(store.fact(99).is_none());
     }
 
-    #[test]
-    fn replaying_log_reproduces_ids() {
-        let store = table1_store(4);
-        store.ingest("Harry Potter", "Emma Watson", "Netflix");
-        let replayed = ShardedStore::new(4);
-        for rec in store.log_snapshot() {
-            replayed.replay(&rec);
-        }
-        assert_eq!(replayed.source_names(), store.source_names());
-        let n = store.stats().facts as u64;
-        assert_eq!(replayed.stats().facts as u64, n);
-        for id in 0..n {
-            let a = store.fact(id).unwrap();
-            let b = replayed.fact(id).unwrap();
-            assert_eq!((a.entity, a.attr, a.claims), (b.entity, b.attr, b.claims));
-        }
-    }
-
-    #[test]
-    fn concurrent_ingest_log_replays_to_identical_ids() {
-        // Regression test for the ingest-order race: id minting and the
-        // log append must be one atomic step, or racing ingests on
-        // different shards can mint source/fact ids in one order and log
-        // in the other — and then the sequential snapshot replay assigns
-        // different ids than the live server handed out.
-        use std::sync::Arc;
-        let store = Arc::new(ShardedStore::new(8));
-        let threads: Vec<_> = (0..8)
-            .map(|t| {
-                let store = Arc::clone(&store);
-                std::thread::spawn(move || {
-                    for i in 0..50 {
-                        // Distinct entities and sources per (thread, i) so
-                        // every triple mints fresh ids in both spaces.
-                        store.ingest(&format!("e{t}-{i}"), "a", &format!("s{t}-{i}"));
-                    }
-                })
-            })
-            .collect();
-        for t in threads {
-            t.join().unwrap();
-        }
-
-        let replayed = ShardedStore::new(8);
-        for rec in store.log_snapshot() {
-            replayed.replay(&rec);
-        }
-        assert_eq!(
-            replayed.source_names(),
-            store.source_names(),
-            "replay must reproduce the source-id assignment"
-        );
-        let n = store.stats().facts as u64;
-        assert_eq!(replayed.stats().facts as u64, n);
-        for id in 0..n {
-            let a = store.fact(id).unwrap();
-            let b = replayed.fact(id).unwrap();
+    /// Asserts that every store in `copies` is indistinguishable from
+    /// `a` through every read and extraction path, extracting deltas at
+    /// each of `watermarks` from all of them in lockstep (ascending: an
+    /// extraction prunes dirty entries below it).
+    fn assert_same_store(a: &ShardedStore, copies: &[ShardedStore], watermarks: &[u64]) {
+        for b in copies {
+            assert_eq!(a.source_names(), b.source_names());
+            assert_eq!(a.accepted_seq(), b.accepted_seq());
+            assert_eq!(a.pending(), b.pending());
+            assert_eq!(a.stats(), b.stats());
+            let n = a.stats().facts as u64;
+            for id in 0..=n {
+                let (x, y) = (a.fact(id), b.fact(id));
+                assert_eq!(
+                    x.map(|f| (f.entity, f.attr, f.claims)),
+                    y.map(|f| (f.entity, f.attr, f.claims)),
+                    "global fact id {id}"
+                );
+            }
             assert_eq!(
-                (a.entity, a.attr, a.claims),
-                (b.entity, b.attr, b.claims),
-                "global fact id {id} must resolve identically after replay"
+                format!("{:?}", a.full_databases_with_ids()),
+                format!("{:?}", b.full_databases_with_ids())
             );
         }
+        for &w in watermarks {
+            let want = format!("{:?}", a.shard_databases_since(w));
+            for b in copies {
+                assert_eq!(
+                    want,
+                    format!("{:?}", b.shard_databases_since(w)),
+                    "delta since {w}"
+                );
+            }
+        }
+    }
+
+    fn restored(cp: &StoreCheckpoint) -> ShardedStore {
+        let store = ShardedStore::new(cp.shards.len());
+        store.restore(cp).unwrap();
+        store
+    }
+
+    fn row(e: &str, a: &str, s: &str) -> LogRecord {
+        LogRecord {
+            entity: e.into(),
+            attr: a.into(),
+            source: s.into(),
+            value: None,
+        }
     }
 
     #[test]
-    fn persistence_snapshot_is_consistent_under_concurrent_ingest() {
-        // Every source named in the log copy must exist in the sources
-        // copy taken by the same call — otherwise the saved snapshot
-        // fails its own restore validation at the next boot.
-        use std::sync::Arc;
-        let store = Arc::new(ShardedStore::new(4));
-        let writers: Vec<_> = (0..4)
+    fn checkpoint_restores_ids_claims_and_watermarks() {
+        // Sequence numbers survive the checkpoint, so a restored store
+        // resumes the same watermark arithmetic as the one that saved.
+        let store = table1_store(4);
+        let w = store.shard_databases_since(0).watermark;
+        store.ingest("Harry Potter", "Emma Watson", "Netflix");
+        store.ingest("Inception", "Leonardo DiCaprio", "IMDB");
+        let copy = [restored(&store.checkpoint())];
+        assert_same_store(&store, &copy, &[0, w, w + 1]);
+        // Both keep minting the same ids for the same later rows.
+        for s in [&store, &copy[0]] {
+            assert_eq!(
+                s.ingest("Pirates 4", "Johnny Depp", "Netflix"),
+                IngestOutcome::NewRow(4)
+            );
+            assert_eq!(
+                s.ingest("Up", "Ed Asner", "Hulu.com"),
+                IngestOutcome::NewFact(6)
+            );
+        }
+        assert_same_store(&store, &copy, &[w]);
+    }
+
+    #[test]
+    fn checkpoint_round_trips_valued_rows() {
+        let store = ShardedStore::new(3);
+        store.ingest_valued("e0", "a0", "s0", 0.25);
+        store.ingest_valued("e0", "a1", "s1", -3.5);
+        store.ingest("e0", "a1", "s0");
+        store.ingest_valued("e1", "a0", "s1", 7.0);
+        let cp = store.checkpoint();
+        let copy = restored(&cp);
+        for id in 0..3 {
+            let (x, y) = (store.fact_real(id).unwrap(), copy.fact_real(id).unwrap());
+            assert_eq!((x.entity, x.attr, x.claims), (y.entity, y.attr, y.claims));
+        }
+        assert_eq!(
+            format!("{:?}", store.full_real_databases()),
+            format!("{:?}", copy.full_real_databases())
+        );
+        assert_eq!(
+            copy.checkpoint(),
+            cp,
+            "restore then capture is the identity"
+        );
+    }
+
+    #[test]
+    fn checkpoints_under_concurrent_ingest_restore_to_the_live_store() {
+        // Capture while 8 writers ingest (over shared entities, so later
+        // sources newly cover old entities and dirty them retroactively),
+        // restore each checkpoint, apply the rows accepted after it in
+        // sequence order (the WAL tail), then the same extra rows to
+        // both: the restored stores must equal the live one exactly. The
+        // journal records accepted order because it runs under the
+        // ingest-order lock.
+        use std::sync::{Arc, Barrier};
+        let store = Arc::new(ShardedStore::new(8));
+        let accepted = Arc::new(Mutex::new(Vec::<LogRecord>::new()));
+        let halfway = Arc::new(Barrier::new(9));
+        let writers: Vec<_> = (0..8)
             .map(|t| {
-                let store = Arc::clone(&store);
+                let (store, accepted) = (Arc::clone(&store), Arc::clone(&accepted));
+                let halfway = Arc::clone(&halfway);
                 std::thread::spawn(move || {
-                    for i in 0..500u32 {
-                        store.ingest(&format!("e{t}-{i}"), "a", &format!("s{t}-{i}"));
+                    for i in 0..400u32 {
+                        if i == 200 {
+                            halfway.wait();
+                        }
+                        let batch = [
+                            row(
+                                &format!("e{}", (t * 13 + i) % 60),
+                                &format!("a{}", i % 7),
+                                &format!("s{t}-{}", i / 40),
+                            ),
+                            row(&format!("e{t}-{i}"), "a0", &format!("s{}", i % 5)),
+                        ];
+                        let journal = |_: u64, rows: &[LogRecord]| {
+                            accepted.lock().unwrap().extend_from_slice(rows);
+                            Ok(())
+                        };
+                        store.ingest_batch(&batch, Some(&journal)).unwrap();
                     }
                 })
             })
             .collect();
-        let mut done = false;
-        while !done {
-            done = writers.iter().all(|w| w.is_finished());
-            let (sources, log, pending) = store.persistence_snapshot();
-            let known: HashSet<&str> = sources.iter().map(String::as_str).collect();
-            for rec in &log {
-                let s = &rec.source;
-                assert!(known.contains(s.as_str()), "log names unknown source {s}");
-            }
-            // Nothing consumes pending in this test, so the two reads
-            // under one lock hold must agree exactly.
-            assert_eq!(pending, log.len());
+        halfway.wait();
+        // Some folded history: consumed rows and pruned dirty entries.
+        let w0 = store
+            .shard_databases_since(store.accepted_seq() / 2)
+            .watermark;
+        store.consume_pending(100);
+        let mut checkpoints = vec![store.checkpoint()];
+        while checkpoints.len() < 8 && !writers.iter().all(|w| w.is_finished()) {
+            std::thread::sleep(std::time::Duration::from_millis(1));
+            checkpoints.push(store.checkpoint());
         }
         for w in writers {
             w.join().unwrap();
         }
-        assert_eq!(store.pending(), 2000);
+        let accepted = accepted.lock().unwrap().clone();
+        assert_eq!(accepted.len() as u64, store.accepted_seq());
+        let extra = [
+            row("e0", "a0", "late"),
+            row("e1", "a99", "s0-0"),
+            row("fresh", "a0", "late"),
+        ];
+        let copies: Vec<ShardedStore> = checkpoints
+            .iter()
+            .map(|cp| {
+                let copy = restored(cp);
+                for r in &accepted[cp.seq as usize..] {
+                    assert!(copy.replay(r).accepted(), "tail row replays as accepted");
+                }
+                copy
+            })
+            .collect();
+        for s in std::iter::once(&*store).chain(&copies) {
+            s.ingest_batch(&extra, None).unwrap();
+        }
+        let last = store.accepted_seq();
+        assert_same_store(&store, &copies, &[0, w0, w0 + 7, last - 2]);
+    }
+
+    #[test]
+    fn restore_rejects_bad_checkpoints_as_invalid_data() {
+        let store = table1_store(2);
+        store.ingest("Harry Potter", "Emma Watson", "Netflix");
+        let good = store.checkpoint();
+        // `from` holds the four Harry Potter facts, at least.
+        let (from, to) = if good.shards[0].facts.len() >= 4 {
+            (0, 1)
+        } else {
+            (1, 0)
+        };
+        let mut cases: Vec<(&str, StoreCheckpoint)> = Vec::new();
+        let mut add = |what, edit: &dyn Fn(&mut StoreCheckpoint)| {
+            let mut cp = good.clone();
+            edit(&mut cp);
+            cases.push((what, cp));
+        };
+        add("fact id out of range", &|cp| {
+            cp.shards[from].facts[0].id = 99
+        });
+        add("fact id used twice", &|cp| {
+            let id = cp.shards[from].facts[0].id;
+            cp.shards[from].facts.last_mut().unwrap().id = id;
+        });
+        add("source out of range", &|cp| {
+            cp.shards[from].facts[0].sources = vec![4];
+        });
+        add("no asserting source", &|cp| {
+            cp.shards[from].facts[0].sources.clear()
+        });
+        add("value off the asserted rows", &|cp| {
+            let fact = &mut cp.shards[from].facts[0];
+            let off = (0..).find(|s| !fact.sources.contains(s)).unwrap();
+            fact.values = vec![(off, 1.0)];
+        });
+        add("non-finite value", &|cp| {
+            let fact = &mut cp.shards[from].facts[0];
+            fact.values = vec![(fact.sources[0], f64::NAN)];
+        });
+        add("duplicate source name", &|cp| {
+            cp.sources[1] = cp.sources[0].clone()
+        });
+        add("dirty entry naming no fact", &|cp| {
+            cp.shards[from].dirty.push((77, 1))
+        });
+        add("dirty sequence past the checkpoint", &|cp| {
+            cp.shards[from].dirty = vec![(0, cp.seq + 1)];
+        });
+        add("sequence disagreeing with the rows", &|cp| cp.seq += 1);
+        add("pending past the sequence", &|cp| {
+            cp.pending = cp.seq as usize + 1
+        });
+        add("entity in the wrong shard", &|cp| {
+            let f = cp.shards[from].facts.remove(0);
+            cp.shards[to].facts.push(f);
+        });
+        add("shard count", &|cp| {
+            cp.shards.pop();
+        });
+        for (what, cp) in cases {
+            let err = ShardedStore::new(2).restore(&cp).expect_err(what);
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{what}: {err}");
+        }
+        let err = store.restore(&good).unwrap_err();
+        assert!(err.to_string().contains("holds 9 rows"), "{err}");
     }
 
     #[test]
@@ -1203,24 +1542,6 @@ mod tests {
             "late asserted exactly one of the two facts"
         );
         assert_eq!(late_rows.len(), 2, "late has a row on both dirty facts");
-    }
-
-    #[test]
-    fn replay_reproduces_delta_watermarks() {
-        // Sequence numbers are replay-log positions, so a restored store
-        // resumes the same watermark arithmetic as the one that saved.
-        let store = table1_store(4);
-        let w = store.shard_databases_since(0).watermark;
-        store.ingest("Inception", "Leonardo DiCaprio", "IMDB");
-
-        let replayed = ShardedStore::new(4);
-        for rec in store.log_snapshot() {
-            replayed.replay(&rec);
-        }
-        assert_eq!(replayed.accepted_seq(), store.accepted_seq());
-        let delta = replayed.shard_databases_since(w);
-        assert_eq!(delta.delta_facts, 1, "only the post-watermark fact");
-        assert_eq!(delta.watermark, store.accepted_seq());
     }
 
     #[test]

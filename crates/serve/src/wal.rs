@@ -9,11 +9,13 @@
 //! can never disagree with sequence order), and fsync'd per the
 //! configured [`WalSyncPolicy`] before the HTTP response is written.
 //!
-//! Segments rotate at [`WalConfig::segment_bytes`]; the server's
-//! background compactor folds sealed segments into the v2 snapshot and
-//! deletes them, so `snapshot + WAL tail` is always a complete recovery
-//! image and disk usage stays bounded. On boot, [`DomainWal::open`]
-//! replays the tail through the normal ingest path: a **torn final
+//! The WAL is the only row-level log: the snapshot holds a checkpoint of
+//! each store at some sequence `S`, not rows. Segments rotate at
+//! [`WalConfig::segment_bytes`]; the server's background compactor saves
+//! a snapshot and then deletes the sealed segments it covers, so
+//! `snapshot + WAL tail` is always a complete recovery image and disk
+//! usage stays bounded. On boot, [`DomainWal::open`] replays the records
+//! past `S` through the normal ingest path: a **torn final
 //! record** (a crash mid-append) is truncated with a warning — the
 //! server never refuses to boot over its own interrupted write — while
 //! a corrupt record *followed by further valid data* is a hard

@@ -14,9 +14,11 @@
 //!
 //! Companion tests cover a torn final record (appended garbage must be
 //! truncated at boot, never refuse to start), mid-log corruption (must
-//! refuse to start, with a nonzero exit), and the injectable fault hook
+//! refuse to start, with a nonzero exit), a snapshot save that fails
+//! (compaction must delete no segment), and the injectable fault hook
 //! (`/healthz` flips to 503 `degraded` while WAL writes fail).
 
+use std::ffi::OsStr;
 use std::io::{Read, Write};
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
@@ -75,6 +77,11 @@ struct ServerProc {
 impl ServerProc {
     /// Boots `ltm serve --wal-dir <wal>` and waits for the port file.
     fn start(wal_dir: &Path, port_file: &Path) -> ServerProc {
+        Self::start_with(wal_dir, port_file, &[])
+    }
+
+    /// [`ServerProc::start`] with `extra` flags.
+    fn start_with(wal_dir: &Path, port_file: &Path, extra: &[&OsStr]) -> ServerProc {
         let _ = std::fs::remove_file(port_file);
         let child = Command::new(env!("CARGO_BIN_EXE_ltm"))
             .arg("serve")
@@ -84,6 +91,7 @@ impl ServerProc {
             .arg("--port-file")
             .arg(port_file)
             .args(COMMON_FLAGS)
+            .args(extra)
             .stdout(Stdio::null())
             .stderr(Stdio::inherit())
             .spawn()
@@ -280,8 +288,8 @@ fn acked_batches_survive_twenty_randomized_kills_and_match_a_control() {
     let _ = std::fs::remove_dir_all(&root);
 }
 
-/// Newest WAL segment of the default domain.
-fn newest_segment(wal_dir: &Path) -> PathBuf {
+/// WAL segments of the default domain, oldest first.
+fn segments(wal_dir: &Path) -> Vec<PathBuf> {
     let mut segs: Vec<PathBuf> = std::fs::read_dir(wal_dir.join("default"))
         .unwrap()
         .filter_map(|e| e.ok())
@@ -289,7 +297,12 @@ fn newest_segment(wal_dir: &Path) -> PathBuf {
         .filter(|p| p.extension().is_some_and(|x| x == "seg"))
         .collect();
     segs.sort();
-    segs.pop().expect("at least one WAL segment")
+    segs
+}
+
+/// Newest WAL segment of the default domain.
+fn newest_segment(wal_dir: &Path) -> PathBuf {
+    segments(wal_dir).pop().expect("at least one WAL segment")
 }
 
 #[test]
@@ -347,6 +360,52 @@ fn torn_final_record_is_truncated_and_the_server_boots() {
         stat_u64(&server.addr, "wal_replayed_rows"),
         0,
         "clean shutdown leaves no tail"
+    );
+    server.shutdown();
+    let _ = std::fs::remove_dir_all(&root);
+}
+
+#[test]
+fn a_failed_snapshot_save_deletes_no_segment_and_loses_no_ack() {
+    let root = temp_dir("failed-save");
+    let wal_dir = root.join("wal");
+    let port_file = root.join("port.txt");
+    let snapshot = root.join("snapshot.json");
+    let flags = [OsStr::new("--snapshot"), snapshot.as_os_str()];
+    let server = ServerProc::start_with(&wal_dir, &port_file, &flags);
+    // A directory where the snapshot goes: every save's rename fails.
+    // Made before any segment is sealed, so the background compactor has
+    // not saved yet.
+    std::fs::create_dir(&snapshot).unwrap();
+    for b in 0..80 {
+        let (status, body) =
+            http_call(&server.addr, "POST", "/claims", Some(&batch_body(b))).unwrap();
+        assert_eq!(status, 200, "{body}");
+    }
+    let before = segments(&wal_dir);
+    assert!(before.len() > 1, "want sealed segments, got {before:?}");
+
+    let (status, body) = http_call(&server.addr, "POST", "/admin/compact", Some("")).unwrap();
+    assert_eq!(status, 500, "{body}");
+    let (status, body) = http_call(&server.addr, "GET", "/healthz", None).unwrap();
+    assert_eq!(status, 503, "a failed save degrades the server: {body}");
+    let after = segments(&wal_dir);
+    for seg in &before {
+        assert!(
+            after.contains(seg),
+            "{} was deleted without a saved snapshot covering it",
+            seg.display()
+        );
+    }
+    server.kill();
+
+    std::fs::remove_dir(&snapshot).unwrap();
+    let server = ServerProc::start_with(&wal_dir, &port_file, &flags);
+    assert_eq!(stat_u64(&server.addr, "positive_claims"), 400);
+    assert_eq!(
+        stat_u64(&server.addr, "wal_replayed_rows"),
+        400,
+        "every acked row comes back from the WAL"
     );
     server.shutdown();
     let _ = std::fs::remove_dir_all(&root);

@@ -111,7 +111,7 @@ fn boot_ingest_refit_query_parity_and_snapshot_restart() {
     // Rebuild the predictor from a snapshot of the served epoch.
     server.save_snapshot(&snap_path).unwrap();
     let saved = snapshot::load(&snap_path).unwrap();
-    assert_eq!(saved.version, 2, "snapshots save in format v2");
+    assert_eq!(saved.version, 3, "snapshots save in format v3");
     let default = saved
         .domain(ltm_serve::DEFAULT_DOMAIN)
         .expect("default domain saved");
@@ -126,6 +126,7 @@ fn boot_ingest_refit_query_parity_and_snapshot_restart() {
     let id_of = |name: &str| {
         SourceId::from_usize(
             default
+                .store
                 .sources
                 .iter()
                 .position(|s| s == name)
@@ -569,90 +570,35 @@ fn one_server_hosts_boolean_and_real_valued_domains_concurrently() {
 }
 
 #[test]
-fn v1_snapshot_restores_into_v2_server_with_bit_identical_answers() {
-    // Boot a server, capture its learned epoch, and rewrite the snapshot
-    // into the v1 single-domain layout by hand. A fresh server booting
-    // from that v1 file must serve bit-identical probabilities, and its
-    // own re-save must produce a v2 file that restores identically again.
-    let dir = std::env::temp_dir();
-    let snap_path = dir.join(format!("ltm-e2e-v1mig-{}.json", std::process::id()));
-    let _ = std::fs::remove_file(&snap_path);
-    let mut cfg = config();
-    cfg.snapshot = Some(snap_path.clone());
-
-    let server = Server::start(cfg.clone()).expect("boot");
-    let addr = server.addr();
-    http_call(addr, "POST", "/claims", Some(&workload_body(10))).unwrap();
-    server.trigger_refit();
-    wait_for_epoch(addr, 1.0);
-    let query = "{\"claims\":[[\"good\",true],[\"spammy\",true]]}";
-    let (_, body) = http_call(addr, "POST", "/query", Some(query)).unwrap();
-    let served = field_f64(&body, "probability");
-    server.shutdown().unwrap();
-
-    // Downgrade the saved v2 snapshot to the v1 on-disk layout: hoist the
-    // default domain's fields to the top level and drop v2-only fields.
-    let saved = snapshot::load(&snap_path).unwrap();
-    let rec = saved.domain(ltm_serve::DEFAULT_DOMAIN).unwrap();
-    let triples: Vec<String> = rec
-        .triples
-        .iter()
-        .map(|t| {
-            format!(
-                "{{\"entity\":{},\"attr\":{},\"source\":{}}}",
-                serde_json::to_string(&t.entity).unwrap(),
-                serde_json::to_string(&t.attr).unwrap(),
-                serde_json::to_string(&t.source).unwrap()
-            )
-        })
-        .collect();
-    let acc = rec.accumulator.as_ref().expect("accumulator saved");
-    let epoch = rec.epoch.as_ref().expect("epoch saved");
-    let v1 = format!(
-        "{{\"version\":1,\"shards\":{},\"sources\":{},\"triples\":[{}],\"pending\":{},\
-         \"accumulator\":{{\"cells\":{},\"batches_seen\":{},\"watermark\":{}}},\
-         \"epoch\":{{\"epoch\":{},\"phi1\":{},\"phi0\":{},\"beta_pos\":{},\"beta_neg\":{},\
-         \"default_phi1\":{},\"default_phi0\":{},\"max_rhat\":{},\"converged_fraction\":{},\
-         \"trained_claims\":{},\"trained_sources\":{}}}}}",
-        rec.shards,
-        serde_json::to_string(&rec.sources).unwrap(),
-        triples.join(","),
-        rec.pending.unwrap(),
-        serde_json::to_string(&acc.cells).unwrap(),
-        acc.batches_seen,
-        acc.watermark,
-        epoch.epoch,
-        serde_json::to_string(&epoch.phi1).unwrap(),
-        serde_json::to_string(&epoch.phi0).unwrap(),
-        epoch.beta_pos,
-        epoch.beta_neg,
-        epoch.default_phi1,
-        epoch.default_phi0,
-        epoch.max_rhat,
-        epoch.converged_fraction,
-        epoch.trained_claims,
-        epoch.trained_sources,
-    );
-    std::fs::write(&snap_path, v1).unwrap();
-
-    // Restart from the v1 file: bit-identical answers, same epoch.
-    let restarted = Server::start(cfg.clone()).expect("restart from v1");
-    let addr2 = restarted.addr();
-    let (_, body2) = http_call(addr2, "POST", "/query", Some(query)).unwrap();
-    assert_eq!(
-        field_f64(&body2, "probability"),
-        served,
-        "v1 snapshot must restore bit-identical boolean answers"
-    );
-    // Graceful shutdown re-saves as v2…
-    restarted.shutdown().unwrap();
-    let resaved = snapshot::load(&snap_path).unwrap();
-    assert_eq!(resaved.version, 2, "re-save upgrades the on-disk format");
-    // …and the v2 file restores identically once more.
-    let again = Server::start(cfg).expect("restart from v2");
-    let (_, body3) = http_call(again.addr(), "POST", "/query", Some(query)).unwrap();
-    assert_eq!(field_f64(&body3, "probability"), served);
-    again.shutdown().unwrap();
+fn v2_snapshot_is_refused_at_boot_with_its_version_named() {
+    // Snapshots before format v3 carried the whole row log instead of a
+    // store checkpoint. Booting on one must fail loudly, naming the file
+    // and its version, and must leave the file as it was.
+    let snap_path =
+        std::env::temp_dir().join(format!("ltm-e2e-old-snapshot-{}.json", std::process::id()));
+    let v2 = "{\"version\":2,\"domains\":[{\"name\":\"default\",\"kind\":\"boolean\",\
+              \"shards\":3,\"sources\":[\"s0\"],\"triples\":[{\"entity\":\"e0\",\
+              \"attr\":\"a0\",\"source\":\"s0\",\"value\":null}],\"pending\":1,\
+              \"accumulator\":null,\"epoch\":null}]}";
+    let v1 = "{\"version\":1,\"shards\":3,\"sources\":[],\"triples\":[],\"epoch\":null}";
+    for (text, version) in [(v2, 2), (v1, 1)] {
+        std::fs::write(&snap_path, text).unwrap();
+        let mut cfg = config();
+        cfg.snapshot = Some(snap_path.clone());
+        let err = match Server::start(cfg) {
+            Ok(server) => {
+                server.shutdown().unwrap();
+                panic!("booted on a version {version} snapshot");
+            }
+            Err(e) => e.to_string(),
+        };
+        assert!(
+            err.contains(&snap_path.display().to_string())
+                && err.contains(&format!("version {version}")),
+            "want the file and its version named, got: {err}"
+        );
+        assert_eq!(std::fs::read_to_string(&snap_path).unwrap(), text);
+    }
     let _ = std::fs::remove_file(&snap_path);
 }
 

@@ -210,8 +210,8 @@ fn snapshot_round_trips_shadow_tables_bit_identically() {
     );
     restored.shutdown().expect("clean shutdown");
 
-    // A v2 snapshot *without* the shadow section (pre-shadow files)
-    // still loads: plain queries serve the restored epoch, shadow
+    // A snapshot whose epoch has no shadow section (one fit with shadows
+    // off) still loads: plain queries serve the restored epoch, shadow
     // queries answer 409.
     let mut stripped = snapshot::load(&snap_path).unwrap();
     for d in &mut stripped.domains {
@@ -220,14 +220,14 @@ fn snapshot_round_trips_shadow_tables_bit_identically() {
         }
     }
     std::fs::write(&snap_path, serde_json::to_string(&stripped).unwrap()).unwrap();
-    let legacy = Server::start(cfg).expect("boot from pre-shadow snapshot");
+    let legacy = Server::start(cfg).expect("boot from a snapshot without shadows");
     let addr = legacy.addr();
     let (status, body) = http_call(addr, "POST", "/query", Some(query)).unwrap();
     assert_eq!(status, 200, "{body}");
     let (status, body) = http_call(addr, "POST", "/query?methods=all", Some(query)).unwrap();
     assert_eq!(
         status, 409,
-        "pre-shadow snapshot must serve 409 for shadow methods: {body}"
+        "a snapshot without shadows must serve 409 for shadow methods: {body}"
     );
     legacy.shutdown().expect("clean shutdown");
 
